@@ -7,9 +7,7 @@
 #                   bytes, GC activity, learned-clause tiers, inprocessing
 #                   counters, wall-clock.  Selected workloads appear twice —
 #                   plain and `*_noinpr` (solver inprocessing off) — as the
-#                   in-tree ablation for the simplification pipeline, plus a
-#                   `preproc3sat` row driving the standalone Preprocessor
-#                   front-end over the same formulas as `random3sat`.
+#                   in-tree ablation for the simplification pipeline.
 #   BENCH_pdr.json  PDR engine over the circuit suite: per-instance verdict,
 #                   queries, frames and the solver-side counters
 #

@@ -68,30 +68,4 @@ void StateSpace::compact(std::vector<aig::Lit*> roots) {
   for (std::size_t i = 0; i < roots.size(); ++i) *roots[i] = c.roots[i];
 }
 
-Implication StateSpace::satisfiable(aig::Lit a, double time_limit_sec,
-                                    const std::atomic<bool>* cancel) {
-  if (a == aig::kTrue) return Implication::kHolds;
-  if (a == aig::kFalse) return Implication::kFails;
-  ++sat_calls_;
-  sat::Solver solver;
-  std::vector<sat::Lit> leaf_vars(sets_.num_vars(), sat::kNoLit);
-  cnf::TseitinEncoder enc(sets_, solver, [&](aig::Var v) {
-    if (leaf_vars[v] == sat::kNoLit) leaf_vars[v] = sat::mk_lit(solver.new_var());
-    return leaf_vars[v];
-  });
-  solver.add_clause({enc.encode(a, 0)}, 0);
-  sat::Budget budget;
-  budget.seconds = time_limit_sec;
-  budget.cancel = cancel;
-  switch (solver.solve(budget)) {
-    case sat::Status::kSat:
-      return Implication::kHolds;
-    case sat::Status::kUnsat:
-      return Implication::kFails;
-    case sat::Status::kUnknown:
-      break;
-  }
-  return Implication::kUnknown;
-}
-
 }  // namespace itpseq::mc

@@ -39,10 +39,6 @@ class StateSpace {
   Implication implies(aig::Lit a, aig::Lit b, double time_limit_sec,
                       const std::atomic<bool>* cancel = nullptr);
 
-  /// Is the predicate satisfiable at all?
-  Implication satisfiable(aig::Lit a, double time_limit_sec,
-                          const std::atomic<bool>* cancel = nullptr);
-
   /// Garbage-collect the state-set AIG: rebuild it keeping only the cones
   /// of `roots`, which are remapped in place.  All other literals into the
   /// old graph become invalid.

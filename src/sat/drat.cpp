@@ -31,21 +31,22 @@ class RupChecker {
   explicit RupChecker(unsigned num_vars)
       : assign_(num_vars, 0) {}  // 0 = unassigned, 1 = true, -1 = false
 
-  /// Add a clause to the database; returns its id.
+  /// Add a clause to the database; returns its id.  Clauses are stored as
+  /// literal sets: a repeated literal would hide a unit from propagate().
   std::size_t add(std::vector<Lit> lits) {
     std::size_t id = clauses_.size();
     for (Lit l : lits)
       if (var(l) >= assign_.size()) assign_.resize(var(l) + 1, 0);
-    clauses_.push_back({std::move(lits), false});
+    clauses_.push_back({literal_set(std::move(lits)), false});
     return id;
   }
 
   /// Remove a clause whose literal set matches (any one occurrence).
   bool remove(const std::vector<Lit>& lits) {
-    std::vector<Lit> key = sorted(lits);
+    std::vector<Lit> key = literal_set(lits);
     for (std::size_t id = clauses_.size(); id-- > 0;) {
       if (clauses_[id].deleted) continue;
-      if (sorted(clauses_[id].lits) == key) {
+      if (clauses_[id].lits == key) {
         clauses_[id].deleted = true;
         return true;
       }
@@ -127,8 +128,9 @@ class RupChecker {
     std::vector<Lit> lits;
     bool deleted;
   };
-  static std::vector<Lit> sorted(std::vector<Lit> v) {
+  static std::vector<Lit> literal_set(std::vector<Lit> v) {
     std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
     return v;
   }
 

@@ -5,8 +5,7 @@
 //
 //   1. level-0 propagation to fixpoint + satisfied-clause removal;
 //   2. subsumption + self-subsuming resolution over a transient occurrence
-//      index (signature-accelerated, the preprocess.cpp machinery rebuilt
-//      over the clause arena);
+//      index (signature-accelerated, over the clause arena);
 //   3. bounded variable elimination (BVE) with model reconstruction: a var
 //      is eliminated when its non-tautological input resolvents do not
 //      outnumber the clauses they replace; the replaced clauses are
@@ -32,8 +31,8 @@
 // going stale (integrations may enqueue units that satisfy indexed
 // clauses): subsumption and resolution are set-level arguments, independent
 // of the current assignment.  Candidate occurrence lists are snapshotted
-// before mutation loops (the stale-index lesson of
-// Preprocessor::subsumption_pass); dead entries are filtered lazily.
+// before mutation loops, because deleting or strengthening a clause edits
+// the very lists being iterated; dead entries are filtered lazily.
 #include <algorithm>
 #include <cassert>
 #include <vector>

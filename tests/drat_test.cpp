@@ -46,6 +46,18 @@ TEST(Drat, TrivialContradiction) {
   EXPECT_TRUE(r.ok) << r.error;
 }
 
+TEST(Drat, DuplicateLiteralClauseIsUnit) {
+  // (~x0 | ~x0) is the unit ~x0; with it, (x0|x1)(x0|~x1) conflict by unit
+  // propagation alone, so the bare empty clause is a valid proof.
+  Cnf cnf = {{sat::mk_lit(0, true), sat::mk_lit(0, true)},
+             {sat::mk_lit(0), sat::mk_lit(1)},
+             {sat::mk_lit(0), sat::mk_lit(1, true)}};
+  std::string drat;
+  ASSERT_TRUE(refute_to_drat(2, cnf, drat));
+  sat::DratCheckResult r = check(2, cnf, drat);
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
 TEST(Drat, PigeonholePrinciple) {
   // PHP(4,3): 4 pigeons in 3 holes — classically hard, small proof here.
   const unsigned pigeons = 4, holes = 3;

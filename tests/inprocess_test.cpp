@@ -5,6 +5,7 @@
 // contract for assumptions and late add_clause.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <sstream>
@@ -103,6 +104,43 @@ TEST_P(InprocessFuzzTest, VerdictModelAndProofAgree) {
              GetParam() % 2 ? RestartMode::kEma : RestartMode::kLuby);
 }
 
+/// Dense-subsumption formulas: every base clause gets random supersets
+/// (subsumption deletes them mid-sweep) and a one-flipped-literal variant
+/// (self-subsumption strengthens it), so the round keeps deleting and
+/// rewriting clauses whose occurrence lists it is iterating.
+std::vector<std::vector<Lit>> dense_subsumption_cnf(std::mt19937& rng,
+                                                    unsigned nvars) {
+  auto rnd_lit = [&] { return mk_lit(rng() % nvars, rng() % 2); };
+  std::vector<std::vector<Lit>> cls;
+  const unsigned nbase = 4 + rng() % 5;
+  for (unsigned bi = 0; bi < nbase; ++bi) {
+    std::vector<Lit> base;
+    unsigned len = 1 + rng() % 3;
+    for (unsigned k = 0; k < len; ++k) base.push_back(rnd_lit());
+    cls.push_back(base);
+    for (unsigned sup = 0; sup < 2 + rng() % 3; ++sup) {
+      std::vector<Lit> d = base;
+      for (unsigned k = 0; k < 1 + rng() % 3; ++k) d.push_back(rnd_lit());
+      cls.push_back(d);
+    }
+    std::vector<Lit> f = base;
+    std::size_t fi = rng() % f.size();
+    f[fi] = neg(f[fi]);
+    f.push_back(rnd_lit());
+    cls.push_back(f);
+  }
+  std::shuffle(cls.begin(), cls.end(), rng);
+  return cls;
+}
+
+TEST_P(InprocessFuzzTest, DenseSubsumptionAgrees) {
+  std::mt19937 rng(7100 + GetParam());
+  const unsigned nvars = 6 + rng() % 5;
+  auto cls = dense_subsumption_cnf(rng, nvars);
+  crosscheck(cls, nvars,
+             GetParam() % 2 ? RestartMode::kEma : RestartMode::kLuby);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomCnf, InprocessFuzzTest, ::testing::Range(0, 80));
 
 TEST(Inprocess, UnsatDerivedDuringElimination) {
@@ -123,6 +161,18 @@ TEST(Inprocess, UnsatDerivedDuringElimination) {
   std::ostringstream tc;
   write_tracecheck(s.proof(), tc);
   EXPECT_FALSE(tc.str().empty());
+
+  // XOR-style binaries: no clause subsumes or self-subsumes another, so
+  // the contradiction surfaces only once elimination starts resolving —
+  // through units (b) and (~b) created mid-sweep.
+  const Var v = 0, a = 1, b = 2;
+  crosscheck({{pos(v), pos(a)},
+              {pos(v), pos(b)},
+              {negl(v), negl(a)},
+              {negl(v), negl(b)},
+              {pos(a), pos(b)},
+              {negl(a), negl(b)}},
+             3, RestartMode::kLuby);
 }
 
 TEST(Inprocess, SubsumptionAndStrengtheningCounted) {

@@ -69,8 +69,9 @@ TEST(StateSpace, Satisfiable) {
   aig::Aig& G = s.graph();
   aig::Lit contradiction = G.make_and(G.input(0), aig::lit_not(G.input(0)));
   EXPECT_EQ(contradiction, aig::kFalse);  // strash folds it
-  EXPECT_EQ(s.satisfiable(G.input(1), 5.0), Implication::kHolds);
-  EXPECT_EQ(s.satisfiable(aig::kFalse, 5.0), Implication::kFails);
+  // a is satisfiable iff a => false fails.
+  EXPECT_EQ(s.implies(G.input(1), aig::kFalse, 5.0), Implication::kFails);
+  EXPECT_EQ(s.implies(aig::kFalse, aig::kFalse, 5.0), Implication::kHolds);
 }
 
 TEST(StateSpace, CompactRemapsRoots) {
