@@ -233,12 +233,15 @@ void print_summary(const Preset& p, const std::vector<Tally>& tally,
     std::printf(
         "#   sat_calls=%llu conflicts=%llu propagations=%llu "
         "proof_clauses=%llu max_itp_nodes=%zu state_aig_nodes=%zu "
+        "fixpoint_checks=%llu fixpoint_solvers=%llu "
         "visible_latches=%u refinements=%u\n",
         static_cast<unsigned long long>(s.sat_calls),
         static_cast<unsigned long long>(s.sat_conflicts),
         static_cast<unsigned long long>(s.sat_propagations),
         static_cast<unsigned long long>(s.proof_clauses), s.max_itp_nodes,
-        s.state_aig_nodes, s.cba_visible_latches, s.cba_refinements);
+        s.state_aig_nodes, static_cast<unsigned long long>(s.fixpoint_checks),
+        static_cast<unsigned long long>(s.fixpoint_solvers),
+        s.cba_visible_latches, s.cba_refinements);
     if (c == 0) continue;
     // Wins/losses only above measurement noise: a delta under 20% (plus
     // 10 ms) is a tie.

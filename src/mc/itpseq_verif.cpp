@@ -403,6 +403,10 @@ void ItpSeqEngine::execute(EngineResult& out) {
         for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
       }
     }
+    // The terms are extracted: free the BMC proof before the fixpoint
+    // checks below grow the checker, so the two do not peak together.
+    // (The serial and suffix solves above are block-scoped, already gone.)
+    first = ShiftedSolve{};
 
     if (opts_.fraig_interpolants) {
       // SAT-sweep the freshly extracted terms; the swept cones are imported

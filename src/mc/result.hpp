@@ -214,6 +214,11 @@ struct EngineStats {
   std::uint64_t proof_clauses = 0;     // total core clauses over all proofs
   std::size_t max_itp_nodes = 0;       // largest interpolant AIG cone
   std::size_t state_aig_nodes = 0;     // final state-set AIG size
+  /// StateSpace containment checker (fixpoint tests): SAT queries it
+  /// answered and solvers it built (1 + compactions when queried).  Kept
+  /// apart from sat_calls, which counts the engine's own solvers.
+  std::uint64_t fixpoint_checks = 0;
+  std::uint64_t fixpoint_solvers = 0;
   unsigned cba_visible_latches = 0;    // CBA only: final abstraction size
   unsigned cba_refinements = 0;        // CBA only
   std::uint64_t lemmas_published = 0;  // lemmas this engine gave the hub
@@ -244,6 +249,8 @@ struct EngineStats {
     proof_clauses += s.proof_clauses;
     if (s.max_itp_nodes > max_itp_nodes) max_itp_nodes = s.max_itp_nodes;
     if (s.state_aig_nodes > state_aig_nodes) state_aig_nodes = s.state_aig_nodes;
+    fixpoint_checks += s.fixpoint_checks;
+    fixpoint_solvers += s.fixpoint_solvers;
     if (s.cba_visible_latches > cba_visible_latches)
       cba_visible_latches = s.cba_visible_latches;
     cba_refinements += s.cba_refinements;

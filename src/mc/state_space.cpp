@@ -2,8 +2,23 @@
 
 #include "aig/compact.hpp"
 #include "cnf/tseitin.hpp"
+#include "obs/trace.hpp"
 
 namespace itpseq::mc {
+
+/// The persistent containment checker: gate clauses of every state-set node
+/// queried so far.  Leaves (latch inputs) get fresh variables; the encoder
+/// memoizes them like gates.  Pinned in place: the leaf callback holds
+/// `this`.
+struct StateSpace::Checker {
+  explicit Checker(const aig::Aig& g)
+      : enc(g, solver, [this](aig::Var) { return sat::mk_lit(solver.new_var()); }) {}
+  Checker(const Checker&) = delete;
+  Checker& operator=(const Checker&) = delete;
+
+  sat::Solver solver;
+  cnf::TseitinEncoder enc;
+};
 
 StateSpace::StateSpace(const aig::Aig& model) : model_(model) {
   for (std::size_t i = 0; i < model.num_latches(); ++i) {
@@ -31,24 +46,25 @@ aig::Lit StateSpace::init_pred(const std::vector<bool>& visible) {
   return sets_.make_and_many(conj);
 }
 
+StateSpace::~StateSpace() = default;
+
 Implication StateSpace::implies(aig::Lit a, aig::Lit b, double time_limit_sec,
                                 const std::atomic<bool>* cancel) {
   // Constant short-circuits (also avoids encoding constants).
   if (a == aig::kFalse || b == aig::kTrue || a == b) return Implication::kHolds;
   ++sat_calls_;
-  sat::Solver solver;
-  std::vector<sat::Lit> leaf_vars(sets_.num_vars(), sat::kNoLit);
-  cnf::TseitinEncoder enc(sets_, solver, [&](aig::Var v) {
-    if (leaf_vars[v] == sat::kNoLit) leaf_vars[v] = sat::mk_lit(solver.new_var());
-    return leaf_vars[v];
-  });
-  // a AND NOT b satisfiable?
-  if (a != aig::kTrue) solver.add_clause({enc.encode(a, 0)}, 0);
-  if (b != aig::kFalse) solver.add_clause({sat::neg(enc.encode(b, 0))}, 0);
+  if (!checker_) {
+    checker_ = std::make_unique<Checker>(sets_);
+    ++checkers_built_;
+  }
+  // a AND NOT b satisfiable under these assumptions?
+  std::vector<sat::Lit> assumptions;
+  if (a != aig::kTrue) assumptions.push_back(checker_->enc.encode(a, 0));
+  if (b != aig::kFalse) assumptions.push_back(sat::neg(checker_->enc.encode(b, 0)));
   sat::Budget budget;
   budget.seconds = time_limit_sec;
   budget.cancel = cancel;
-  switch (solver.solve(budget)) {
+  switch (checker_->solver.solve_assuming(assumptions, budget)) {
     case sat::Status::kUnsat:
       return Implication::kHolds;
     case sat::Status::kSat:
@@ -64,6 +80,11 @@ void StateSpace::compact(std::vector<aig::Lit*> roots) {
   root_lits.reserve(roots.size());
   for (aig::Lit* r : roots) root_lits.push_back(*r);
   aig::CompactResult c = aig::compact(sets_, root_lits);
+  if (obs::enabled()) {
+    obs::emit("state_compact", {{"nodes_before", sets_.num_ands()},
+                                {"nodes_after", c.graph.num_ands()}});
+  }
+  checker_.reset();  // its encoding describes the old graph
   sets_ = std::move(c.graph);
   for (std::size_t i = 0; i < roots.size(); ++i) *roots[i] = c.roots[i];
 }

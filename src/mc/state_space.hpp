@@ -5,9 +5,21 @@
 // latch i.  Interpolants are extracted into this AIG; unions, intersections
 // and the containment checks ("I_j implies R_{j-1}", the fixpoint test of
 // Figs. 1/2/5) are performed here, the latter by SAT.
+//
+// Containment checker.  The first implies() call creates one incremental
+// sat::Solver (default settings) and one Tseitin encoder over the state-set
+// AIG; both then live as long as that graph does.  The encoder memoizes, so
+// each hash-consed node is encoded once per graph, and every query is one
+// solve_assuming({a, ¬b}) call on the two root literals.  The solver holds
+// only gate-definition clauses, which are valid for every query, so the
+// clauses it learns carry over soundly from query to query.  compact()
+// replaces the graph and drops the checker with it; the next query builds a
+// fresh one over the compacted graph.  StateSpace is non-copyable because
+// the encoder refers to the graph member by address.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "aig/aig.hpp"
 #include "sat/solver.hpp"
@@ -20,6 +32,9 @@ enum class Implication : std::uint8_t { kHolds, kFails, kUnknown };
 class StateSpace {
  public:
   explicit StateSpace(const aig::Aig& model);
+  ~StateSpace();
+  StateSpace(const StateSpace&) = delete;
+  StateSpace& operator=(const StateSpace&) = delete;
 
   aig::Aig& graph() { return sets_; }
   const aig::Aig& graph() const { return sets_; }
@@ -41,15 +56,23 @@ class StateSpace {
 
   /// Garbage-collect the state-set AIG: rebuild it keeping only the cones
   /// of `roots`, which are remapped in place.  All other literals into the
-  /// old graph become invalid.
+  /// old graph become invalid, and the containment checker is dropped.
   void compact(std::vector<aig::Lit*> roots);
 
+  /// Containment queries that reached the SAT checker.
   std::size_t num_sat_calls() const { return sat_calls_; }
+  /// Checkers built so far: one per graph that was queried (at most
+  /// 1 + the number of compactions).
+  std::size_t num_checkers() const { return checkers_built_; }
 
  private:
+  struct Checker;
+
   const aig::Aig& model_;
   aig::Aig sets_;
+  std::unique_ptr<Checker> checker_;  // over sets_; null until queried
   std::size_t sat_calls_ = 0;
+  std::size_t checkers_built_ = 0;
 };
 
 }  // namespace itpseq::mc
