@@ -29,7 +29,7 @@ void solve_bmc(const aig::Aig& model, unsigned k, bool proof,
     cnf::Unroller unr(model, s);
     unr.assert_init(0);
     for (unsigned t = 0; t < k; ++t) unr.add_transition(t, t + 1);
-    unr.assert_target(k, scheme, k + 1);
+    unr.assert_target(k, scheme, /*prop=*/0);
     sat::Status st = s.solve();
     benchmark::DoNotOptimize(st);
     conflicts += s.stats().conflicts;

@@ -162,21 +162,20 @@ sat::Lit Unroller::bad_lit(unsigned t, std::uint32_t label, std::size_t prop) {
   return lit(model_.output(prop), t, label);
 }
 
-void Unroller::assert_target(unsigned k, TargetScheme scheme, std::uint32_t label) {
+void Unroller::assert_target(unsigned k, TargetScheme scheme, std::size_t prop) {
   switch (scheme) {
     case TargetScheme::kBound: {
       std::vector<sat::Lit> disj;
-      for (unsigned t = 1; t <= k; ++t) disj.push_back(bad_lit(t, label));
-      solver_.add_clause(disj, label);
+      for (unsigned t = 1; t <= k; ++t) disj.push_back(bad_lit(t, t + 1, prop));
+      solver_.add_clause(disj, k + 1);
       break;
     }
-    case TargetScheme::kExact:
-      solver_.add_clause({bad_lit(k, label)}, label);
-      break;
     case TargetScheme::kExactAssume:
-      for (unsigned t = 1; t + 1 <= k; ++t)
-        solver_.add_clause({sat::neg(bad_lit(t, label))}, label);
-      solver_.add_clause({bad_lit(k, label)}, label);
+      for (unsigned t = 1; t < k; ++t)
+        solver_.add_clause({sat::neg(bad_lit(t, t + 1, prop))}, t + 1);
+      [[fallthrough]];
+    case TargetScheme::kExact:
+      solver_.add_clause({bad_lit(k, k + 1, prop)}, k + 1);
       break;
   }
 }

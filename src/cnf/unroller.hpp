@@ -10,8 +10,9 @@
 //   A_1     = S0(V^0) ∧ T(V^0,V^1)        -> label 1
 //   A_i     = T(V^{i-1},V^i), 2 <= i <= k  -> label i
 //   A_{k+1} = ¬p(V^k)                      -> label k+1
-// Callers are free to use any other monotone labeling (e.g. a two-label
-// A/B split for standard interpolation).
+// Frame t's logic (its constraints and target cones) belongs to partition
+// t+1.  Standard interpolation reads cut 1 of the same labeling: A = S0 ∧ T
+// (label 1), B = everything else.
 //
 // Localization abstraction (CBA) is supported through a visibility mask:
 // invisible latches are cut — they get fresh unconstrained SAT variables in
@@ -82,10 +83,11 @@ class Unroller {
   /// "C" section semantics: constraints hold in every frame of a trace).
   void assert_constraints(unsigned t, std::uint32_t label);
 
-  /// Assert the BMC target for bound k with the given scheme.  Target
-  /// clauses get partition `label` (gate cones per-frame get labels from
-  /// `frame_label(t)` if provided, else `label`).
-  void assert_target(unsigned k, TargetScheme scheme, std::uint32_t label);
+  /// Assert the BMC target for bound k with the given scheme on output
+  /// `prop`, in the sequence labeling above: the clause and gate cone of
+  /// the bad signal at frame t carry label t+1, and the bound-k
+  /// disjunction (over frames 1..k) carries label k+1.
+  void assert_target(unsigned k, TargetScheme scheme, std::size_t prop);
 
   /// Encode (and return) an arbitrary predicate over the model's *latches*:
   /// `root` is a literal of `sets`, whose input i corresponds to model

@@ -17,61 +17,24 @@ void BmcEngine::execute(EngineResult& out) {
     execute_incremental(out);
     return;
   }
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
+    if (!enter_bound(out, k)) return;
+    obs::Span obs_bound("bound", {{"k", k}});
+    feed_.poll();
+    BmcInstance b = build_bmc(aig::kNullLit, k, opts_.scheme, /*proof=*/false);
+    for (const Lemma& l : feed_.frames)
+      for (unsigned t = 0; t <= std::min(l.bound, k); ++t)
+        assert_lemma_clause(*b.unroller, l, t, t + 1);
+    out.stats.lemmas_consumed = feed_.invariants.size() + feed_.frames.size();
+
+    solve_bmc(b, out);
+    if (b.status == sat::Status::kSat) {
+      report_fail(out, *b.solver, *b.unroller, k, opts_.scheme);
       return;
     }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
-    obs::Span obs_bound("bound", {{"k", k}});
-    feed.poll();
-    sat::Solver solver;
-    opts_.apply_sat_options(solver);
-    cnf::Unroller unr(model_, solver);
-    unr.assert_init(0);
-    for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
-    for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
-    unr.assert_target(k, opts_.scheme, 0);
-    for (const Lemma& l : feed.invariants)
-      for (unsigned t = 0; t <= k; ++t) assert_lemma_clause(unr, l, t, 0);
-    for (const Lemma& l : feed.frames)
-      for (unsigned t = 0; t <= std::min(l.bound, k); ++t)
-        assert_lemma_clause(unr, l, t, 0);
-    out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
-
-    sat::Status status = solver.solve(sat_budget());
-    absorb_stats(out, solver);
-
-    switch (status) {
-      case sat::Status::kSat: {
-        // With bound-k the violation can be at any frame <= k.
-        unsigned depth = k;
-        if (opts_.scheme == cnf::TargetScheme::kBound) {
-          for (unsigned t = 1; t <= k; ++t) {
-            sat::Lit b = unr.lookup(model_.output(prop_), t);
-            if (b != sat::kNoLit &&
-                sat::lbool_xor(solver.model()[sat::var(b)], sat::sign(b)) ==
-                    sat::LBool::kTrue) {
-              depth = t;
-              break;
-            }
-          }
-        }
-        out.verdict = Verdict::kFail;
-        out.j_fp = 0;
-        out.cex = extract_trace(solver, unr, depth);
-        return;
-      }
-      case sat::Status::kUnsat:
-        break;
-      case sat::Status::kUnknown:
-        out.verdict = Verdict::kUnknown;
-        return;
+    if (b.status == sat::Status::kUnknown) {
+      out.verdict = Verdict::kUnknown;
+      return;
     }
   }
   out.verdict = Verdict::kUnknown;
@@ -87,29 +50,12 @@ void BmcEngine::execute_incremental(EngineResult& out) {
   cnf::Unroller unr(model_, solver);
   unr.assert_init(0);
   unr.assert_constraints(0, 0);
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
   std::vector<unsigned> inv_next, fr_next;  // per-lemma next frame to assert
-  // One long-lived solver: its counters are cumulative, so absorb once per
-  // exit path (a per-bound absorb would sum prefixes quadratically) and
-  // account the per-bound queries separately.
   unsigned solves = 0;
-  auto finish = [&] {
-    if (solves == 0) return;  // timed out before the first query
-    absorb_stats(out, solver);
-    out.stats.sat_calls += solves - 1;
-  };
 
+  // The verdict stays UNKNOWN unless a bound finds a counterexample.
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      finish();
-      return;
-    }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!enter_bound(out, k)) break;
     obs::Span obs_bound("bound", {{"k", k}});
     unr.add_transition(k - 1, 0);
     unr.assert_constraints(k, 0);
@@ -118,16 +64,16 @@ void BmcEngine::execute_incremental(EngineResult& out) {
 
     // Lemma clauses are permanent, so they trail the growing unrolling:
     // each lemma is asserted at the frames it has not covered yet.
-    feed.poll();
-    inv_next.resize(feed.invariants.size(), 0);
-    fr_next.resize(feed.frames.size(), 0);
-    for (std::size_t i = 0; i < feed.invariants.size(); ++i)
+    feed_.poll();
+    inv_next.resize(feed_.invariants.size(), 0);
+    fr_next.resize(feed_.frames.size(), 0);
+    for (std::size_t i = 0; i < feed_.invariants.size(); ++i)
       for (unsigned& t = inv_next[i]; t <= k; ++t)
-        assert_lemma_clause(unr, feed.invariants[i], t, 0);
-    for (std::size_t i = 0; i < feed.frames.size(); ++i)
-      for (unsigned& t = fr_next[i]; t <= std::min(feed.frames[i].bound, k); ++t)
-        assert_lemma_clause(unr, feed.frames[i], t, 0);
-    out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
+        assert_lemma_clause(unr, feed_.invariants[i], t, 0);
+    for (std::size_t i = 0; i < feed_.frames.size(); ++i)
+      for (unsigned& t = fr_next[i]; t <= std::min(feed_.frames[i].bound, k); ++t)
+        assert_lemma_clause(unr, feed_.frames[i], t, 0);
+    out.stats.lemmas_consumed = feed_.invariants.size() + feed_.frames.size();
 
     std::vector<sat::Lit> assumptions;
     if (opts_.scheme == cnf::TargetScheme::kBound) {
@@ -142,44 +88,13 @@ void BmcEngine::execute_incremental(EngineResult& out) {
 
     sat::Status status = solver.solve_assuming(assumptions, sat_budget());
     ++solves;
-
-    switch (status) {
-      case sat::Status::kSat: {
-        unsigned depth = k;
-        if (opts_.scheme == cnf::TargetScheme::kBound) {
-          for (unsigned t = 1; t <= k; ++t) {
-            sat::Lit b = unr.lookup(model_.output(prop_), t);
-            if (b != sat::kNoLit &&
-                sat::lbool_xor(solver.model()[sat::var(b)], sat::sign(b)) ==
-                    sat::LBool::kTrue) {
-              depth = t;
-              break;
-            }
-          }
-        }
-        out.verdict = Verdict::kFail;
-        out.j_fp = 0;
-        out.cex = extract_trace(solver, unr, depth);
-        finish();
-        return;
-      }
-      case sat::Status::kUnsat:
-        if (!solver.ok()) {
-          // The clause set itself became unsatisfiable: no path can delay
-          // the first failure this far, and shallower bounds were refuted.
-          out.verdict = Verdict::kUnknown;
-          finish();
-          return;
-        }
-        break;
-      case sat::Status::kUnknown:
-        out.verdict = Verdict::kUnknown;
-        finish();
-        return;
-    }
+    if (status == sat::Status::kSat) report_fail(out, solver, unr, k, opts_.scheme);
+    // UNKNOWN also when the clause set itself became unsatisfiable: no path
+    // can delay the first failure this far, and shallower bounds were
+    // refuted.
+    if (status != sat::Status::kUnsat || !solver.ok()) break;
   }
-  out.verdict = Verdict::kUnknown;
-  finish();
+  absorb_stats(out, solver, solves);
 }
 
 }  // namespace itpseq::mc

@@ -1,190 +1,60 @@
 #include "mc/itp_verif.hpp"
 
-#include <memory>
-#include <unordered_map>
+#include <algorithm>
 
-#include "itp/interpolate.hpp"
-#include "mc/lemma_exchange.hpp"
 #include "obs/trace.hpp"
 
 namespace itpseq::mc {
 
-namespace {
-
-/// One refuted (or satisfied) inner-step SAT instance.
-struct StepSolve {
-  std::unique_ptr<sat::Solver> solver;
-  std::unique_ptr<cnf::Unroller> unroller;
-  sat::Status status = sat::Status::kUnknown;
-};
-
-}  // namespace
+// Lemma exchange: consumed kInvariant lemmas are asserted by build_bmc in
+// every frame and conjoined into the fixpoint target and the PASS
+// certificate.  kFrame lemmas are NOT used here: they would cut A-side
+// models of the over-approximate iterations and break the image closure
+// the fixpoint argument needs.  Freshly extracted interpolants are
+// published as kCandidate latch clauses (PDR verifies before use).
 
 void ItpVerifEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
   const bool partitioned = opts_.itp_partitioned;
-  const bool assume = opts_.scheme == cnf::TargetScheme::kExactAssume;
-
-  // Lemma exchange: consumed kInvariant lemmas behave exactly like model
-  // invariant constraints (they hold in every reachable state and are
-  // inductive), so they are asserted wherever constraints are — every
-  // frame of every instance — and conjoined into the fixpoint target and
-  // the PASS certificate.  kFrame lemmas are NOT used here: they would cut
-  // A-side models of the over-approximate iterations and break the image
-  // closure the fixpoint argument needs.  Freshly extracted interpolants
-  // are published as kCandidate latch clauses (PDR verifies before use).
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
-  aig::Lit inv = aig::kTrue;  // conjunction of consumed invariant lemmas
-  std::size_t inv_used = 0;
-  auto poll_exchange = [&] {
-    feed.poll();
-    for (; inv_used < feed.invariants.size(); ++inv_used) {
-      inv = G.make_and(
-          inv, latch_clause_pred(G, feed.invariants[inv_used].clause));
-      ++out.stats.lemmas_consumed;
-    }
-  };
-  auto publish_terms = [&](aig::Lit term) {
-    out.stats.lemmas_published += publish_candidates(
-        opts_.exchange, G, term, /*quota=*/8, /*max_len=*/6,
-        opts_.exchange_source);
-  };
-
-  // Builds and solves one instance: A = front ∧ T(V^0,V^1) (label 1) and
-  // either the bound-k B (hi_frame = k, bound target) or a single exact /
-  // assume partition with the bad at `target_frame`.
-  auto solve_step = [&](aig::Lit front, unsigned k, unsigned target_frame,
-                        bool bound_target) {
-    StepSolve s;
-    s.solver = std::make_unique<sat::Solver>();
-    opts_.apply_sat_options(*s.solver);
-    s.solver->enable_proof();
-    s.unroller = std::make_unique<cnf::Unroller>(model_, *s.solver);
-    cnf::Unroller& unr = *s.unroller;
-    if (front == aig::kNullLit) {
-      unr.assert_init(1);
-    } else if (front != aig::kTrue) {
-      sat::Lit fl = unr.encode_state_pred(G, front, 0, 1);
-      s.solver->add_clause({fl}, 1);
-    }
-    unr.add_transition(0, 1);
-    unr.assert_constraints(0, 1);
-    unsigned frames = bound_target ? k : target_frame;
-    for (unsigned t = 1; t < frames; ++t) unr.add_transition(t, 2);
-    for (unsigned t = 1; t <= frames; ++t) unr.assert_constraints(t, 2);
-    for (const Lemma& l : feed.invariants) {
-      assert_lemma_clause(unr, l, 0, 1);
-      for (unsigned t = 1; t <= frames; ++t) assert_lemma_clause(unr, l, t, 2);
-    }
-    if (bound_target) {
-      std::vector<sat::Lit> disj;
-      for (unsigned t = 1; t <= k; ++t) disj.push_back(unr.bad_lit(t, 2, prop_));
-      s.solver->add_clause(disj, 2);
-    } else {
-      if (assume)
-        for (unsigned t = 1; t < target_frame; ++t)
-          s.solver->add_clause({sat::neg(unr.bad_lit(t, 2, prop_))}, 2);
-      s.solver->add_clause({unr.bad_lit(target_frame, 2, prop_)}, 2);
-    }
-    s.status = s.solver->solve(sat_budget());
-    absorb_stats(out, *s.solver);
-    return s;
-  };
-
-  auto extract_cut1 = [&](const StepSolve& s) {
-    itp::InterpolantExtractor ex(s.solver->proof());
-    std::unordered_map<sat::Var, aig::Lit> leaf;
-    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), 1);
-      leaf[sat::var(sl)] = aig::lit_xor(space_.latch_input(i), sat::sign(sl));
-    }
-    return ex.extract(
-        G, 1,
-        [&](sat::Var v) {
-          auto it = leaf.find(v);
-          return it == leaf.end() ? aig::kNullLit : it->second;
-        },
-        opts_.itp_system);
-  };
-
-  auto fail_from = [&](const StepSolve& s, unsigned k, unsigned known_depth,
-                       bool bound_target) {
-    unsigned depth = known_depth;
-    if (bound_target) {
-      for (unsigned t = 1; t <= k; ++t) {
-        sat::Lit b = s.unroller->lookup(model_.output(prop_), t);
-        if (b != sat::kNoLit &&
-            sat::lbool_xor(s.solver->model()[sat::var(b)], sat::sign(b)) ==
-                sat::LBool::kTrue) {
-          depth = t;
-          break;
-        }
-      }
-    }
-    out.verdict = Verdict::kFail;
-    out.k_fp = k;
-    out.j_fp = 0;
-    out.cex = extract_trace(*s.solver, *s.unroller, depth);
-  };
+  // I = ITP(front ∧ T, B) at cut 1 of one bound-k instance, or, for
+  // partitioned ITPs (Section III), the conjunction over the per-depth
+  // exact / assume-k instances jj = 1..k, each from its own (smaller)
+  // refutation.
+  const cnf::TargetScheme scheme =
+      partitioned ? opts_.scheme : cnf::TargetScheme::kBound;
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      return;
-    }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!enter_bound(out, k)) return;
     obs::Span obs_bound("bound", {{"k", k}});
-    poll_exchange();
+    poll_invariants(out);
     // Nothing survives an outer restart, so the state-set AIG can be
     // garbage-collected wholesale once it grows (the invariant-lemma
     // conjunction is the only literal that must survive).
     if (opts_.compact_threshold > 0 && G.num_ands() > opts_.compact_threshold)
-      space_.compact({&inv});
+      space_.compact({&inv_});
 
     aig::Lit R = space_.init_pred();
     aig::Lit front = aig::kNullLit;  // null = S0 (exact initial states)
 
     for (unsigned j = 0;; ++j) {
-      aig::Lit I;
+      aig::Lit I = aig::kTrue;
       bool spurious = false;
-      if (!partitioned) {
-        StepSolve s = solve_step(front, k, k, /*bound_target=*/true);
-        if (s.status == sat::Status::kUnknown) {
+      for (unsigned jj = partitioned ? 1 : k; jj <= k && !spurious; ++jj) {
+        BmcInstance b = build_bmc(front, jj, scheme, /*proof=*/true);
+        solve_bmc(b, out);
+        if (b.status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
         }
-        if (s.status == sat::Status::kSat) {
+        if (b.status == sat::Status::kSat) {
+          // Only the first iteration starts from the exact initial states.
           if (j == 0) {
-            fail_from(s, k, k, true);
+            report_fail(out, *b.solver, *b.unroller, jj, scheme);
             return;
           }
           spurious = true;
         } else {
-          I = extract_cut1(s);
-        }
-      } else {
-        // Partitioned ITPs (Section III): I = AND over per-depth exact or
-        // assume partitions, each from its own (smaller) refutation.
-        I = aig::kTrue;
-        for (unsigned jj = 1; jj <= k && !spurious; ++jj) {
-          StepSolve s = solve_step(front, k, jj, /*bound_target=*/false);
-          if (s.status == sat::Status::kUnknown) {
-            out.verdict = Verdict::kUnknown;
-            return;
-          }
-          if (s.status == sat::Status::kSat) {
-            if (j == 0) {
-              fail_from(s, k, jj, false);
-              return;
-            }
-            spurious = true;
-          } else {
-            I = G.make_and(I, extract_cut1(s));
-          }
+          I = G.make_and(I, extract_terms(b, 1)[0]);
         }
       }
       if (spurious) break;  // deepen the unrolling
@@ -197,23 +67,10 @@ void ItpVerifEngine::execute(EngineResult& out) {
                                 {"itp_nodes", G.cone_size(I)}});
       }
       out.stats.max_itp_nodes = std::max(out.stats.max_itp_nodes, G.cone_size(I));
-      publish_terms(I);
-      // Fixpoint modulo the invariant lemmas: new states within inv are
-      // already covered, and R ∧ inv is the inductive set (certificate).
-      Implication imp =
-          space_.implies(G.make_and(I, inv), R, remaining(), opts_.cancel);
-      if (imp == Implication::kHolds) {
-        out.verdict = Verdict::kPass;
-        out.k_fp = k;
-        out.j_fp = j + 1;
-        out.certificate = make_certificate(G.make_and(R, inv));
-        return;
-      }
-      if (imp == Implication::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        return;
-      }
-      R = G.make_or(R, I);
+      out.stats.lemmas_published += publish_candidates(
+          opts_.exchange, G, I, /*quota=*/8, /*max_len=*/6,
+          opts_.exchange_source);
+      if (check_fixpoint(out, I, R, k, j + 1)) return;
       front = I;
     }
   }

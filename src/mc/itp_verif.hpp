@@ -9,6 +9,12 @@
 // over-approximate instance becomes satisfiable.  FAIL is only reported
 // from the first inner iteration, whose A-side is the exact initial-state
 // set.
+//
+// Each interpolant is cut 1 of one Engine::build_bmc instance started from
+// the current front: A = front ∧ T(V^0,V^1) (label 1), B the rest.  The
+// partitioned variant conjoins cut 1 of the exact / assume-k instances at
+// every depth 1..k (Section III).  This is the sequence engine's
+// construction with a different target and a single cut.
 #pragma once
 
 #include "mc/engine.hpp"

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
-#include "itp/interpolate.hpp"
 #include "mc/sim.hpp"
 #include "obs/trace.hpp"
 #include "opt/fraig.hpp"
 
 namespace itpseq::mc {
+
+namespace {
+/// CBA: refinements per run before the engine gives up with UNKNOWN.
+constexpr unsigned kCbaRefineLimit = 1000;
+/// Conflict budget per fraig equivalence check of the interpolant sweep.
+constexpr std::int64_t kFraigConflicts = 200;
+}  // namespace
 
 const char* to_string(AbstractionMode m) {
   switch (m) {
@@ -38,10 +43,10 @@ ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
     // Initial abstraction: exactly the property support.
     visible_ = prop_support_;
   }
-  if (mode_ == AbstractionMode::kNone) {
-    feed_.hub = opts_.exchange;
-    feed_.self = opts_.exchange_source;
-  }
+  // Lemma exchange is concrete-only: on the abstract transition relation
+  // even invariant lemmas are not inductive, so the abstraction engines
+  // neither consume nor publish.
+  if (mode_ != AbstractionMode::kNone) feed_.hub = nullptr;
 }
 
 const char* ItpSeqEngine::name() const {
@@ -55,79 +60,25 @@ const char* ItpSeqEngine::name() const {
   return opts_.serial_alpha > 0.0 ? "SITPSEQ" : "ITPSEQ";
 }
 
-ItpSeqEngine::ShiftedSolve ItpSeqEngine::solve_shifted(aig::Lit start,
-                                                       unsigned local_k,
-                                                       EngineResult& out,
-                                                       bool concrete) {
-  ShiftedSolve s;
-  s.solver = std::make_unique<sat::Solver>();
-  opts_.apply_sat_options(*s.solver);
-  s.solver->enable_proof();
-  s.unroller = std::make_unique<cnf::Unroller>(
-      model_, *s.solver, concrete ? std::vector<bool>{} : visible_);
-  cnf::Unroller& unr = *s.unroller;
-
-  // A_1: initial set and first transition (label 1).
-  if (start == aig::kNullLit) {
-    unr.assert_init(1);
-  } else if (start != aig::kTrue) {
-    sat::Lit fl = unr.encode_state_pred(space_.graph(), start, 0, 1);
-    s.solver->add_clause({fl}, 1);
-  }
-  // A_i = T(V^{i-1}, V^i) with label i.
-  for (unsigned t = 0; t < local_k; ++t) unr.add_transition(t, t + 1);
-  // Invariant constraints hold in every frame; frame-t logic carries the
-  // label of partition t+1.
-  for (unsigned t = 0; t <= local_k; ++t)
-    unr.assert_constraints(t, std::min(t + 1, local_k + 1));
-
-  // Target.  CBA follows Fig. 5 and uses exact-k; otherwise the configured
-  // scheme decides whether intermediate "good" constraints are added
-  // (assume-k) or not (exact-k).  bound-k is not meaningful for sequences.
+Engine::BmcInstance ItpSeqEngine::solve_shifted(aig::Lit start,
+                                                unsigned local_k,
+                                                EngineResult& out,
+                                                bool concrete) {
+  // CBA follows Fig. 5 and uses exact-k; otherwise the configured scheme
+  // decides whether intermediate "good" constraints are added (assume-k)
+  // or not (exact-k).  bound-k is not meaningful for sequences.
   bool cba_like =
       mode_ == AbstractionMode::kCba || mode_ == AbstractionMode::kCbaPba;
   bool assume = !cba_like && opts_.scheme == cnf::TargetScheme::kExactAssume;
-  if (assume)
-    for (unsigned t = 1; t < local_k; ++t)
-      s.solver->add_clause({sat::neg(unr.bad_lit(t, t + 1, prop_))}, t + 1);
-  s.solver->add_clause({unr.bad_lit(local_k, local_k + 1, prop_)}, local_k + 1);
-
-  // Consumed invariant lemmas hold in every reachable state and are
-  // inductive, so they are asserted like the model's invariant constraints
-  // (same frames, same partition labels).  Feed is empty outside concrete
-  // mode.
-  for (const Lemma& l : feed_.invariants)
-    for (unsigned t = 0; t <= local_k; ++t)
-      assert_lemma_clause(unr, l, t, std::min(t + 1, local_k + 1));
-
-  s.status = s.solver->solve(sat_budget());
-  absorb_stats(out, *s.solver);
-  return s;
+  BmcInstance b = build_bmc(
+      start, local_k,
+      assume ? cnf::TargetScheme::kExactAssume : cnf::TargetScheme::kExact,
+      /*proof=*/true, concrete ? std::vector<bool>{} : visible_);
+  solve_bmc(b, out);
+  return b;
 }
 
-std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ShiftedSolve& s,
-                                                  unsigned last_cut) {
-  aig::Aig& G = space_.graph();
-  itp::InterpolantExtractor ex(s.solver->proof());
-  // Leaf maps: for cut c the shared variables are the frame-c latch vars.
-  std::vector<std::unordered_map<sat::Var, aig::Lit>> leaf(last_cut + 1);
-  for (unsigned c = 1; c <= last_cut; ++c)
-    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), c);
-      if (sl != sat::kNoLit)
-        leaf[c][sat::var(sl)] =
-            aig::lit_xor(space_.latch_input(i), sat::sign(sl));
-    }
-  return ex.extract_sequence(
-      G, 1, last_cut,
-      [&](std::uint32_t cut, sat::Var v) {
-        auto it = leaf[cut].find(v);
-        return it == leaf[cut].end() ? aig::kNullLit : it->second;
-      },
-      opts_.itp_system);
-}
-
-std::vector<bool> ItpSeqEngine::pba_needed(const ShiftedSolve& s,
+std::vector<bool> ItpSeqEngine::pba_needed(const BmcInstance& s,
                                            unsigned k) const {
   // Variables mentioned by original clauses of the refutation core.
   std::vector<char> used;
@@ -155,7 +106,7 @@ std::vector<bool> ItpSeqEngine::pba_needed(const ShiftedSolve& s,
   return needed;
 }
 
-bool ItpSeqEngine::extend_or_refine(const ShiftedSolve& s, unsigned k,
+bool ItpSeqEngine::extend_or_refine(const BmcInstance& s, unsigned k,
                                     EngineResult& out, bool& refined) {
   refined = false;
   // Abstract counterexample: inputs and frame-0 free-latch values.
@@ -229,25 +180,12 @@ void ItpSeqEngine::execute(EngineResult& out) {
   calI_.assign(1, aig::kNullLit);  // index 0 unused
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      return;
-    }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!enter_bound(out, k)) return;
     obs::Span obs_bound("bound", {{"k", k}});
 
     // Safe point for the lemma exchange: between bounds.  New invariant
     // lemmas extend inv_ (constant within a bound).
-    feed_.poll();
-    for (; inv_used_ < feed_.invariants.size(); ++inv_used_) {
-      inv_ = G.make_and(
-          inv_, latch_clause_pred(G, feed_.invariants[inv_used_].clause));
-      ++out.stats.lemmas_consumed;
-    }
+    poll_invariants(out);
 
     // Bound the growth of the interpolant store: rebuild the state-set AIG
     // keeping only the live matrix columns (and the invariant conjunction).
@@ -262,21 +200,19 @@ void ItpSeqEngine::execute(EngineResult& out) {
     // --- BMC check at bound k (with abstraction handling) ---------------
     const bool cba = mode_ == AbstractionMode::kCba ||
                      mode_ == AbstractionMode::kCbaPba;
-    ShiftedSolve first;
+    BmcInstance first;
     if (mode_ == AbstractionMode::kPba) {
       // PBA: the concrete check decides SAT/UNSAT; its proof core sizes the
       // abstraction used for extraction.
-      ShiftedSolve conc = solve_shifted(aig::kNullLit, k, out,
+      BmcInstance conc = solve_shifted(aig::kNullLit, k, out,
                                         /*concrete=*/true);
       if (conc.status == sat::Status::kUnknown) {
         out.verdict = Verdict::kUnknown;
         return;
       }
       if (conc.status == sat::Status::kSat) {
-        out.verdict = Verdict::kFail;
-        out.k_fp = k;
-        out.j_fp = 0;
-        out.cex = extract_trace(*conc.solver, *conc.unroller, k);
+        report_fail(out, *conc.solver, *conc.unroller, k,
+                    cnf::TargetScheme::kExact);
         return;
       }
       visible_ = pba_needed(conc, k);
@@ -294,7 +230,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
         bool refined = false;
         if (extend_or_refine(first, k, out, refined)) return;  // real FAIL
         if (!refined) break;  // concrete model, genuine SAT
-        if (out.stats.cba_refinements > opts_.cba_refine_limit ||
+        if (out.stats.cba_refinements > kCbaRefineLimit ||
             out_of_time()) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -315,7 +251,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
           visible_[i] = keep;
         }
         if (shrunk) {
-          ShiftedSolve s2 = solve_shifted(aig::kNullLit, k, out);
+          BmcInstance s2 = solve_shifted(aig::kNullLit, k, out);
           if (s2.status == sat::Status::kUnsat) {
             first = std::move(s2);
           } else {
@@ -332,10 +268,8 @@ void ItpSeqEngine::execute(EngineResult& out) {
       return;
     }
     if (first.status == sat::Status::kSat) {
-      out.verdict = Verdict::kFail;
-      out.k_fp = k;
-      out.j_fp = 0;
-      out.cex = extract_trace(*first.solver, *first.unroller, k);
+      report_fail(out, *first.solver, *first.unroller, k,
+                  cnf::TargetScheme::kExact);
       return;
     }
 
@@ -360,14 +294,11 @@ void ItpSeqEngine::execute(EngineResult& out) {
     } else {
       // Serial prefix (Eq. 3).  The first term's defining problem is
       // exactly the original BMC check, so its proof is reused.
-      {
-        std::vector<aig::Lit> seq = extract_terms(first, 1);
-        terms[1] = seq[0];
-      }
+      terms[1] = extract_terms(first, 1)[0];
       if (opts_.serial_dynamic && G.cone_size(terms[1]) > opts_.serial_size_limit)
         ns = 1;
       for (unsigned j = 2; j <= ns && !fallback; ++j) {
-        ShiftedSolve s = solve_shifted(terms[j - 1], k - (j - 1), out);
+        BmcInstance s = solve_shifted(terms[j - 1], k - (j - 1), out);
         if (s.status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -376,8 +307,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
           fallback = true;  // over-approximation made the target reachable
           break;
         }
-        std::vector<aig::Lit> seq = extract_terms(s, 1);
-        terms[j] = seq[0];
+        terms[j] = extract_terms(s, 1)[0];
         if (opts_.serial_dynamic &&
             G.cone_size(terms[j]) > opts_.serial_size_limit) {
           ns = j;  // stop serializing, finish with the parallel suffix
@@ -386,7 +316,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       }
       if (!fallback && ns < k) {
         // Parallel suffix from one more proof (Fig. 4, last line).
-        ShiftedSolve s = solve_shifted(terms[ns], k - ns, out);
+        BmcInstance s = solve_shifted(terms[ns], k - ns, out);
         if (s.status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -406,14 +336,14 @@ void ItpSeqEngine::execute(EngineResult& out) {
     // The terms are extracted: free the BMC proof before the fixpoint
     // checks below grow the checker, so the two do not peak together.
     // (The serial and suffix solves above are block-scoped, already gone.)
-    first = ShiftedSolve{};
+    first = BmcInstance{};
 
     if (opts_.fraig_interpolants) {
       // SAT-sweep the freshly extracted terms; the swept cones are imported
       // back into the (strashed) state-set graph.
       std::vector<aig::Lit> roots(terms.begin() + 1, terms.end());
       opt::FraigOptions fo;
-      fo.max_conflicts = opts_.fraig_conflicts;
+      fo.max_conflicts = kFraigConflicts;
       opt::FraigResult fr = opt::fraig(G, roots, fo);
       std::vector<aig::Lit> leaf_map(fr.graph.num_vars(), aig::kNullLit);
       for (std::size_t i = 0; i < fr.graph.num_inputs(); ++i)
@@ -453,24 +383,8 @@ void ItpSeqEngine::execute(EngineResult& out) {
     calI_[k] = terms[k];
 
     aig::Lit R = space_.init_pred(visible_);
-    for (unsigned j = 1; j <= k; ++j) {
-      // Fixpoint modulo the invariant lemmas (inv_ = kTrue without a hub):
-      // R ∧ inv_ is the inductive set the certificate reports.
-      Implication imp = space_.implies(G.make_and(calI_[j], inv_), R,
-                                       remaining(), opts_.cancel);
-      if (imp == Implication::kHolds) {
-        out.verdict = Verdict::kPass;
-        out.k_fp = k;
-        out.j_fp = j;
-        out.certificate = make_certificate(G.make_and(R, inv_));
-        return;
-      }
-      if (imp == Implication::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        return;
-      }
-      R = G.make_or(R, calI_[j]);
-    }
+    for (unsigned j = 1; j <= k; ++j)
+      if (check_fixpoint(out, calI_[j], R, k, j)) return;
   }
   out.verdict = Verdict::kUnknown;
 }

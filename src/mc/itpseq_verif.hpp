@@ -34,14 +34,16 @@
 // The matrix state sets are maintained across bounds:
 //   calI_j = AND over i >= j of I^i_j          (column conjunction)
 // and the fixpoint test is calI_j => R_{j-1} with R_j = R_{j-1} OR calI_j.
+//
+// Every check is one Engine::build_bmc instance with an exact-k or assume-k
+// target; a sequence is its cuts 1..k (Engine::extract_terms).  Standard
+// ITP (itp_verif.hpp) is the same instance with a bound-k target, read at
+// cut 1 only.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "mc/engine.hpp"
-#include "mc/lemma_exchange.hpp"
 
 namespace itpseq::mc {
 
@@ -65,47 +67,27 @@ class ItpSeqEngine : public Engine {
   void execute(EngineResult& out) override;
 
  private:
-  struct ShiftedSolve {
-    std::unique_ptr<sat::Solver> solver;
-    std::unique_ptr<cnf::Unroller> unroller;
-    sat::Status status = sat::Status::kUnknown;
-  };
-
-  /// Build and solve the BMC problem  start(V^0) ∧ T^local_k ∧ target, with
-  /// interpolation-sequence partition labels 1..local_k+1.  start ==
-  /// kNullLit means the (possibly abstract) initial states.  With
-  /// `concrete` the visibility mask is ignored (full model).
-  ShiftedSolve solve_shifted(aig::Lit start, unsigned local_k,
-                             EngineResult& out, bool concrete = false);
+  /// build_bmc + solve_bmc of  start(V^0) ∧ T^local_k ∧ target  on the
+  /// current abstraction (`concrete` ignores the mask), with the sequence
+  /// engine's target scheme.  start == kNullLit means the (possibly
+  /// abstract) initial states.
+  BmcInstance solve_shifted(aig::Lit start, unsigned local_k,
+                            EngineResult& out, bool concrete = false);
 
   /// PBA: latches whose unrolled frame variables occur in the refutation
   /// core of a solved instance (everything else can be cut).
-  std::vector<bool> pba_needed(const ShiftedSolve& s, unsigned k) const;
-
-  /// Extract sequence terms for local cuts [1, last_cut] from a refuted
-  /// shifted solve; returns AIG literals over the state space.
-  std::vector<aig::Lit> extract_terms(const ShiftedSolve& s, unsigned last_cut);
+  std::vector<bool> pba_needed(const BmcInstance& s, unsigned k) const;
 
   /// CBA: check an abstract counterexample on the concrete model (EXTEND);
   /// fills `out` and returns true on a real failure, otherwise refines the
   /// abstraction (REFINE) and returns false.
-  bool extend_or_refine(const ShiftedSolve& s, unsigned k, EngineResult& out,
+  bool extend_or_refine(const BmcInstance& s, unsigned k, EngineResult& out,
                         bool& refined);
 
   AbstractionMode mode_;
   std::vector<bool> prop_support_;     // latches in the bad signal's support
   std::vector<bool> visible_;          // abstraction mask; empty = concrete
   std::vector<aig::Lit> calI_;         // calI_[j], j >= 1; index 0 unused
-
-  // Lemma exchange (concrete mode only — on the abstract transition
-  // relation even invariant lemmas are not inductive, so the abstraction
-  // engines neither consume nor rely on foreign facts).  Consumed
-  // kInvariant lemmas are asserted like model constraints in every solve
-  // and conjoined into the fixpoint target / PASS certificate; sequence
-  // terms are published back as kCandidate latch clauses.
-  LemmaFeed feed_;
-  aig::Lit inv_ = aig::kTrue;          // conjunction of consumed invariants
-  std::size_t inv_used_ = 0;
 };
 
 }  // namespace itpseq::mc

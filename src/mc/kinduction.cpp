@@ -39,72 +39,38 @@ void KInductionEngine::execute(EngineResult& out) {
   // states, where only invariant lemmas are sound — they strengthen the
   // induction hypothesis (classic invariant-strengthened k-induction);
   // real traces satisfy them everywhere, so PASS remains sound.
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
   std::vector<unsigned> step_next;  // per-invariant next step frame to assert
-  // The step solver is long-lived and its counters are cumulative, so it is
-  // absorbed once per exit path (a per-bound absorb would sum prefixes
-  // quadratically); the per-bound base solvers are fresh and absorb inline.
   unsigned step_solves = 0;
-  auto finish_step = [&] {
-    if (step_solves == 0) return;
-    absorb_stats(out, step);
-    out.stats.sat_calls += step_solves - 1;
-  };
 
+  // The verdict stays UNKNOWN unless a base case fails or a step case holds.
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      finish_step();
-      return;
-    }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!enter_bound(out, k)) break;
     obs::Span obs_bound("bound", {{"k", k}});
-    feed.poll();
+    feed_.poll();
 
     // --- base(k): counterexample of exact depth k ------------------------
     {
       obs::Span obs_base("base", {{"k", k}});
-      sat::Solver solver;
-      opts_.apply_sat_options(solver);
-      cnf::Unroller unr(model_, solver);
-      unr.assert_init(0);
-      for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
-      for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
-      solver.add_clause({unr.bad_lit(k, 0, prop_)}, 0);
-      for (const Lemma& l : feed.invariants)
-        for (unsigned t = 0; t <= k; ++t) assert_lemma_clause(unr, l, t, 0);
-      for (const Lemma& l : feed.frames)
+      BmcInstance b = build_bmc(aig::kNullLit, k, cnf::TargetScheme::kExact,
+                                /*proof=*/false);
+      for (const Lemma& l : feed_.frames)
         for (unsigned t = 0; t <= std::min(l.bound, k); ++t)
-          assert_lemma_clause(unr, l, t, 0);
-      out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
-      sat::Status st = solver.solve(sat_budget());
-      absorb_stats(out, solver);
-      if (st == sat::Status::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        finish_step();
-        return;
-      }
-      if (st == sat::Status::kSat) {
-        out.verdict = Verdict::kFail;
-        out.j_fp = 0;
-        out.cex = extract_trace(solver, unr, k);
-        finish_step();
-        return;
-      }
+          assert_lemma_clause(*b.unroller, l, t, t + 1);
+      out.stats.lemmas_consumed = feed_.invariants.size() + feed_.frames.size();
+      solve_bmc(b, out);
+      if (b.status == sat::Status::kSat)
+        report_fail(out, *b.solver, *b.unroller, k, cnf::TargetScheme::kExact);
+      if (b.status != sat::Status::kUnsat) break;
     }
 
     // --- step(k): p holds for k steps from *any* state, then fails -------
     obs::Span obs_step("step", {{"k", k}});
     step_unr.add_transition(k - 1, 0);
     step_unr.assert_constraints(k, 0);
-    step_next.resize(feed.invariants.size(), 0);
-    for (std::size_t i = 0; i < feed.invariants.size(); ++i)
+    step_next.resize(feed_.invariants.size(), 0);
+    for (std::size_t i = 0; i < feed_.invariants.size(); ++i)
       for (unsigned& t = step_next[i]; t <= k; ++t)
-        assert_lemma_clause(step_unr, feed.invariants[i], t, 0);
+        assert_lemma_clause(step_unr, feed_.invariants[i], t, 0);
     // p at frame k-1 becomes a permanent constraint (it was the assumed
     // target at the previous bound), and the newly created frame k joins
     // the pairwise simple-path constraints.
@@ -115,29 +81,17 @@ void KInductionEngine::execute(EngineResult& out) {
     sat::Status st =
         step.solve_assuming({step_unr.bad_lit(k, 0, prop_)}, sat_budget());
     ++step_solves;
-    if (st == sat::Status::kUnknown) {
-      out.verdict = Verdict::kUnknown;
-      finish_step();
-      return;
-    }
     if (st == sat::Status::kUnsat) {
-      if (!step.ok()) {
-        // The path constraints themselves became unsatisfiable: the
-        // recurrence diameter is exceeded, so the base cases exhausted all
-        // behaviours — the property holds.
-        out.verdict = Verdict::kPass;
-        out.j_fp = k;
-        finish_step();
-        return;
-      }
+      // Either k-induction succeeded, or the path constraints themselves
+      // became unsatisfiable (!step.ok()): the recurrence diameter is
+      // exceeded, so the base cases exhausted all behaviours.  Both prove
+      // the property.
       out.verdict = Verdict::kPass;
       out.j_fp = k;
-      finish_step();
-      return;
     }
+    if (st != sat::Status::kSat) break;
   }
-  out.verdict = Verdict::kUnknown;
-  finish_step();
+  absorb_stats(out, step, step_solves);
 }
 
 EngineResult check_kinduction(const aig::Aig& model, std::size_t prop,

@@ -39,6 +39,9 @@ namespace {
 using CubeLit = std::uint32_t;
 using Cube = std::vector<CubeLit>;
 
+/// ctgDown: CTGs blocked per candidate cube before giving up on it.
+constexpr unsigned kMaxCtgs = 3;
+
 constexpr std::size_t cl_index(CubeLit c) { return c >> 1; }
 constexpr bool cl_value(CubeLit c) { return (c & 1u) != 0; }
 constexpr CubeLit mk_cl(std::size_t latch, bool value) {
@@ -436,7 +439,7 @@ class PdrContext {
   /// unreachable, and blocking it both rescues this candidate and
   /// strengthens the trace.  Unblockable predecessors are *joined* into the
   /// candidate (literals m disagrees with are dropped), absorbing m into
-  /// the cube.  Bounded by opts_.pdr_max_ctgs per candidate and recursion
+  /// the cube.  Bounded by kMaxCtgs per candidate and recursion
   /// depth opts_.pdr_ctg_depth; every path keeps `g` init-disjoint.
   bool ctg_down(Cube& g, unsigned lvl, unsigned depth) {
     unsigned ctgs = 0;
@@ -453,7 +456,7 @@ class PdrContext {
         return true;
       }
       // m: a state of F_lvl outside g with a transition into g.
-      if (lvl > 0 && ctgs < opts_.pdr_max_ctgs &&
+      if (lvl > 0 && ctgs < kMaxCtgs &&
           depth <= opts_.pdr_ctg_depth && !m.in_init &&
           !intersects_init(m.cube)) {
         Cube ctg_core;
@@ -900,13 +903,8 @@ void PdrEngine::execute(EngineResult& out) {
   pstats_ = PdrStats{};
   PdrContext ctx(model_, prop_, opts_, space_, pstats_, remaining());
   ctx.run(out);
-  // One incremental solver for the whole run: absorb its cumulative
-  // counters once, and only if a query actually ran (absorb_stats counts a
-  // call unconditionally).
-  if (pstats_.queries > 0) {
-    absorb_stats(out, ctx.solver());
-    out.stats.sat_calls += pstats_.queries - 1;
-  }
+  // One incremental solver for the whole run.
+  absorb_stats(out, ctx.solver(), pstats_.queries);
   out.stats.lemmas_published += pstats_.exch_published;
   out.stats.lemmas_consumed += pstats_.exch_consumed;
   if (out.verdict == Verdict::kPass && !out.certificate.has_value())

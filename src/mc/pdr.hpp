@@ -22,8 +22,8 @@
 //     failed-assumption core); with EngineOptions::pdr_ctg the search runs
 //     the FMCAD'13 ctgDown algorithm, which blocks counterexample-to-
 //     generalization states at their own frames (bounded by pdr_ctg_depth
-//     and pdr_max_ctgs) and joins with unblockable predecessors, yielding
-//     markedly shorter lemmas on circuits with converging control.
+//     and three CTGs per cube) and joins with unblockable predecessors,
+//     yielding markedly shorter lemmas on circuits with converging control.
 //
 // Generalized lemmas are pushed to the highest frame where they stay
 // inductive.  When two adjacent frames have equal clause sets the trace is

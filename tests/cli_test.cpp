@@ -98,6 +98,26 @@ TEST_F(CliTest, McBmcIncrementalModesAgree) {
   }
 }
 
+TEST_F(CliTest, McChecksTheRequestedOutput) {
+  // Output 0 fails at depth 1; output 1 is a latch stuck at its reset value
+  // 0 and holds.  Checking output 1 must never report FAIL: not through a
+  // wrong witness, not through a crash while minimizing one.
+  std::string path = temp_path("two_outputs.aag");
+  {
+    std::ofstream f(path);
+    f << "aag 2 0 2 2 0\n2 1\n4 4\n2\n4\n";
+  }
+  for (const char* flags : {"", "--no-minimize", "--validate"}) {
+    std::string out;
+    int rc = run(tool("itpseq-mc") + " -t 30 -k 20 -e bmc --incremental=off -p 1 " +
+                     flags + " " + path,
+                 &out);
+    // A signal shows as -1 or as the shell's 128 + signal number.
+    EXPECT_TRUE(rc >= 0 && rc <= 4) << flags << ": exit status " << rc;
+    EXPECT_EQ(out.find("s FAIL"), std::string::npos) << flags;
+  }
+}
+
 TEST_F(CliTest, McEveryEngineAgrees) {
   for (const char* e :
        {"itp", "itp-part", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba",

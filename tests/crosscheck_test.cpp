@@ -7,8 +7,10 @@
 
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "bdd/reach.hpp"
+#include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/certify.hpp"
 #include "mc/engine.hpp"
@@ -132,6 +134,69 @@ TEST(CrossCheck, WitnessMinimizePipeline) {
     if (exercised >= 8) break;
   }
   EXPECT_GE(exercised, 4u);
+}
+
+/// Modulo-6 counter with two outputs: count == 4 FAILs at depth 4 and
+/// count == 7 holds (6 and 7 are unreachable).  `fail_first` puts the
+/// failing output at index 0.
+aig::Aig two_property_counter(bool fail_first) {
+  aig::Aig g = bench::counter(3, 6, fail_first ? 4 : 7);
+  std::vector<aig::Lit> bits;
+  for (std::size_t i = 0; i < g.num_latches(); ++i) bits.push_back(g.latch(i));
+  g.add_output(bench::equals_const(g, bits, fail_first ? 7 : 4));
+  return g;
+}
+
+TEST(CrossCheck, EveryEngineChecksTheRequestedProperty) {
+  mc::EngineOptions opts;
+  opts.time_limit_sec = 15.0;
+  opts.max_bound = 12;
+  mc::EngineOptions part = opts;
+  part.itp_partitioned = true;
+  mc::EngineOptions mono = opts;
+  mono.bmc_incremental = false;
+  struct Named {
+    const char* name;
+    bool proves;  // can return PASS (BMC only exhausts its bound)
+    bool certifies;
+    mc::EngineResult r;
+  };
+  for (bool fail_first : {true, false}) {
+    aig::Aig g = two_property_counter(fail_first);
+    for (std::size_t prop = 0; prop < 2; ++prop) {
+      const bool fails = (prop == 0) == fail_first;
+      Named results[] = {
+          {"itp", true, true, mc::check_itp(g, prop, opts)},
+          {"itp-part", true, true, mc::check_itp(g, prop, part)},
+          {"itpseq", true, true, mc::check_itpseq(g, prop, opts)},
+          {"sitpseq", true, true, mc::check_sitpseq(g, prop, opts)},
+          {"cba", true, true, mc::check_itpseq_cba(g, prop, opts)},
+          {"pba", true, true, mc::check_itpseq_pba(g, prop, opts)},
+          {"bmc-mono", false, false, mc::check_bmc(g, prop, mono)},
+          {"bmc-incr", false, false, mc::check_bmc(g, prop, opts)},
+          {"kind", true, false, mc::check_kinduction(g, prop, opts)},
+          {"pdr", true, true, mc::check_pdr(g, prop, opts)},
+      };
+      for (const Named& n : results) {
+        SCOPED_TRACE(std::string(n.name) + " output " + std::to_string(prop) +
+                     (fail_first ? " (failing output first)" : ""));
+        if (fails) {
+          ASSERT_EQ(n.r.verdict, mc::Verdict::kFail);
+          EXPECT_EQ(n.r.cex.depth(), 4u);
+          EXPECT_TRUE(mc::trace_is_cex(g, n.r.cex, prop));
+        } else if (!n.proves) {
+          EXPECT_EQ(n.r.verdict, mc::Verdict::kUnknown);
+        } else {
+          ASSERT_EQ(n.r.verdict, mc::Verdict::kPass);
+          ASSERT_EQ(n.r.certificate.has_value(), n.certifies);
+          if (n.certifies) {
+            mc::CertifyResult c = mc::check_certificate(g, prop, *n.r.certificate);
+            EXPECT_TRUE(c.ok) << c.error;
+          }
+        }
+      }
+    }
+  }
 }
 
 class AllEnginesRandomTest : public ::testing::TestWithParam<int> {};

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
@@ -170,6 +171,45 @@ TEST_P(IncrementalBmcTest, MatchesMonolithicBmc) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, IncrementalBmcTest,
                          ::testing::Range(0u, 40u, 3u));
+
+TEST(IncrementalBmc, MonolithicAgreesOnEveryProperty) {
+  // Modulo-6 counter with three outputs: count == 4 (FAILs at depth 4),
+  // count == 7 (holds: 6 and 7 are unreachable) and count == 2 (FAILs at
+  // depth 2).  Both formulations must check the output they are asked for.
+  aig::Aig g = bench::counter(3, 6, 4);
+  std::vector<aig::Lit> bits;
+  for (std::size_t i = 0; i < g.num_latches(); ++i) bits.push_back(g.latch(i));
+  g.add_output(bench::equals_const(g, bits, 7));
+  g.add_output(bench::equals_const(g, bits, 2));
+  const unsigned expected_depth[] = {4, 0, 2};  // 0 = holds
+
+  mc::EngineOptions mono;
+  mono.max_bound = 8;
+  mono.bmc_incremental = false;
+  mc::EngineOptions incr = mono;
+  incr.bmc_incremental = true;
+  for (auto scheme : {cnf::TargetScheme::kExact, cnf::TargetScheme::kExactAssume,
+                      cnf::TargetScheme::kBound}) {
+    mono.scheme = incr.scheme = scheme;
+    for (std::size_t prop = 0; prop < g.num_outputs(); ++prop) {
+      SCOPED_TRACE(std::string(cnf::to_string(scheme)) + " output " +
+                   std::to_string(prop));
+      mc::EngineResult a = mc::check_bmc(g, prop, mono);
+      mc::EngineResult b = mc::check_bmc(g, prop, incr);
+      EXPECT_EQ(a.verdict, b.verdict);
+      if (expected_depth[prop] == 0) {
+        EXPECT_EQ(a.verdict, mc::Verdict::kUnknown);  // bound exhausted
+        continue;
+      }
+      ASSERT_EQ(a.verdict, mc::Verdict::kFail);
+      ASSERT_EQ(b.verdict, mc::Verdict::kFail);
+      EXPECT_EQ(a.cex.depth(), expected_depth[prop]);
+      EXPECT_EQ(b.cex.depth(), expected_depth[prop]);
+      EXPECT_TRUE(mc::trace_is_cex(g, a.cex, prop)) << "monolithic";
+      EXPECT_TRUE(mc::trace_is_cex(g, b.cex, prop)) << "incremental";
+    }
+  }
+}
 
 TEST(IncrementalBmc, FasterSchedulesStillSound) {
   // Deep counterexample: the single-instance formulation must find the

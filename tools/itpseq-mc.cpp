@@ -533,13 +533,16 @@ int main(int argc, char** argv) {
   // The BDD engine reports FAIL without a concrete trace.
   bool have_trace =
       r.verdict == mc::Verdict::kFail && !r.cex.inputs.empty();
-  if (have_trace && a.minimize)
-    r.cex = mc::minimize_trace(g, r.cex, a.property);
-  if (have_trace && a.validate && !mc::trace_is_cex(g, r.cex, a.property)) {
+  // Minimization replays the trace, so it validates it as well; a trace
+  // that is not a counterexample is an internal error either way.
+  if (have_trace && (a.minimize || a.validate) &&
+      !mc::trace_is_cex(g, r.cex, a.property)) {
     std::fprintf(stderr, "%s: internal error: witness failed validation\n",
                  argv[0]);
     return 4;
   }
+  if (have_trace && a.minimize)
+    r.cex = mc::minimize_trace(g, r.cex, a.property);
   if (r.verdict == mc::Verdict::kPass && a.certify) {
     if (!r.certificate.has_value()) {
       std::fprintf(stderr,
