@@ -1,5 +1,5 @@
-// bench_paper.cpp — the paper's tables and the Section III-V ablations from
-// one preset table.
+// bench_paper.cpp — the paper's tables, the Section III-V ablations, the
+// PDR ablation and the engine/portfolio comparison from one preset table.
 //
 // A preset is an instance filter plus a list of columns; a column is an
 // engine entry point plus an edit of the default EngineOptions.  Every
@@ -16,6 +16,9 @@
 // only their verdict is checked.  A cell that fails a check prints WRONG
 // and the driver exits 1.
 //
+// ITPSEQ_TRACE=file [ITPSEQ_TRACE_FORMAT=chrome] traces a run
+// (obs::TraceSink::from_env).
+//
 // Usage: bench_paper <preset> [seconds] [family_filter]
 #include <algorithm>
 #include <cmath>
@@ -30,7 +33,9 @@
 #include "mc/certify.hpp"
 #include "mc/engine.hpp"
 #include "mc/itpseq_verif.hpp"
+#include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
+#include "obs/trace.hpp"
 
 using namespace itpseq;
 
@@ -66,6 +71,28 @@ mc::EngineResult seq(const bench::Instance& inst, const mc::EngineOptions& o) {
   return mc::ItpSeqEngine(inst.model, 0, o, Mode).run();
 }
 
+/// The portfolio with its default members; Jobs = 0 is the threaded
+/// scheduler (one thread per member), 1 the sequential round-robin.
+template <unsigned Jobs>
+mc::EngineResult portfolio(const bench::Instance& inst,
+                           const mc::EngineOptions& o) {
+  mc::PortfolioOptions po;
+  po.jobs = Jobs;
+  po.time_limit_sec = o.time_limit_sec;
+  po.engine_defaults = o;
+  return mc::check_portfolio(inst.model, 0, po);
+}
+
+/// The portfolio's random-simulation member on its own, with the threaded
+/// scheduler's sweep (default sim_seed, depth 64).
+mc::EngineResult random_sim(const bench::Instance& inst,
+                            const mc::EngineOptions& o) {
+  return mc::check_random_sim(inst.model, 0, /*depth=*/64,
+                              mc::kSimSweepRounds,
+                              mc::PortfolioOptions{}.sim_seed, o.cancel,
+                              o.time_limit_sec);
+}
+
 /// Table I's BDD columns: k_fp is the diameter on PASS and the
 /// counterexample depth on FAIL; j_fp is the number of image steps to the
 /// fixpoint.  Industrial instances are not attempted (ovf), as in the paper.
@@ -96,6 +123,9 @@ mc::EngineResult bdd_reach(const bench::Instance& inst,
 
 /// The paper's SITPSEQ setting of the serial fraction.
 void paper_alpha(mc::EngineOptions& o) { o.serial_alpha = 0.5; }
+
+/// PDR runs until the budget, not until a bound.
+void pdr_unbounded(mc::EngineOptions& o) { o.max_bound = 10000; }
 
 const std::vector<Preset>& presets() {
   using mc::AbstractionMode;
@@ -175,6 +205,40 @@ const std::vector<Preset>& presets() {
            o.max_bound = 100;
            o.bmc_incremental = true;
          }}}},
+      {"pdr", "PDR without ternary lifting, CTG generalization, inprocessing",
+       Filter::kAll,
+       {{"PDR", call<mc::check_pdr>, pdr_unbounded},
+        {"no-lift", call<mc::check_pdr>,
+         [](mc::EngineOptions& o) {
+           pdr_unbounded(o);
+           o.pdr_lift = false;
+         }},
+        {"no-ctg", call<mc::check_pdr>,
+         [](mc::EngineOptions& o) {
+           pdr_unbounded(o);
+           o.pdr_ctg = false;
+         }},
+        {"base", call<mc::check_pdr>,
+         [](mc::EngineOptions& o) {
+           pdr_unbounded(o);
+           o.pdr_lift = false;
+           o.pdr_ctg = false;
+         }},
+        {"no-inprocess", call<mc::check_pdr>, [](mc::EngineOptions& o) {
+           pdr_unbounded(o);
+           o.sat_inprocess = false;
+         }}}},
+      {"engines", "threaded portfolio vs its engines and the sequential one",
+       Filter::kAcademic,
+       {{"portfolio", portfolio<0>},
+        {"BMC", call<mc::check_bmc>},
+        {"ITP", call<mc::check_itp>},
+        {"ITPSEQ", call<mc::check_itpseq>},
+        {"SITPSEQ", call<mc::check_sitpseq>},
+        {"ITPSEQ+CBA", call<mc::check_itpseq_cba>},
+        {"PDR", call<mc::check_pdr>},
+        {"sim", random_sim},
+        {"portfolio-j1", portfolio<1>}}},
   };
   return table;
 }
@@ -231,17 +295,25 @@ void print_summary(const Preset& p, const std::vector<Tally>& tally,
     for (double x : sorted) std::printf(" %.4f", x);
     std::printf("\n");
     std::printf(
-        "#   sat_calls=%llu conflicts=%llu propagations=%llu "
-        "proof_clauses=%llu max_itp_nodes=%zu state_aig_nodes=%zu "
-        "fixpoint_checks=%llu fixpoint_solvers=%llu "
-        "visible_latches=%u refinements=%u\n",
+        "#   sat_calls=%llu conflicts=%llu propagations=%llu bin_share=%.3f "
+        "gc_runs=%llu proof_clauses=%llu max_itp_nodes=%zu "
+        "state_aig_nodes=%zu fixpoint_checks=%llu fixpoint_solvers=%llu "
+        "visible_latches=%u refinements=%u lemmas_published=%llu "
+        "lemmas_consumed=%llu\n",
         static_cast<unsigned long long>(s.sat_calls),
         static_cast<unsigned long long>(s.sat_conflicts),
         static_cast<unsigned long long>(s.sat_propagations),
+        s.sat_propagations
+            ? static_cast<double>(s.sat_bin_propagations) /
+                  static_cast<double>(s.sat_propagations)
+            : 0.0,
+        static_cast<unsigned long long>(s.sat_gc_runs),
         static_cast<unsigned long long>(s.proof_clauses), s.max_itp_nodes,
         s.state_aig_nodes, static_cast<unsigned long long>(s.fixpoint_checks),
         static_cast<unsigned long long>(s.fixpoint_solvers),
-        s.cba_visible_latches, s.cba_refinements);
+        s.cba_visible_latches, s.cba_refinements,
+        static_cast<unsigned long long>(s.lemmas_published),
+        static_cast<unsigned long long>(s.lemmas_consumed));
     if (c == 0) continue;
     // Wins/losses only above measurement noise: a delta under 20% (plus
     // 10 ms) is a tie.
@@ -267,6 +339,7 @@ void print_summary(const Preset& p, const std::vector<Tally>& tally,
 }  // namespace
 
 int main(int argc, char** argv) {
+  auto sink = obs::TraceSink::from_env();  // null unless ITPSEQ_TRACE is set
   const Preset* p = nullptr;
   for (const Preset& q : presets())
     if (argc > 1 && q.name == std::string(argv[1])) p = &q;

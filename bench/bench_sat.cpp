@@ -9,7 +9,9 @@
 // retirement, arena GC).  Per workload: propagations/s, conflicts/s,
 // binary-propagation share, arena footprint and GC activity.  The
 // `*_noinpr` rows rerun a workload with solver inprocessing off: the
-// ablation for the in-solver simplification.
+// ablation for the in-solver simplification; `bmc_unroll_proof` reruns
+// bmc_unroll with resolution-proof logging on, the cost interpolation
+// pays.
 //
 // The JSON file is the perf-trajectory baseline: stable keys, one entry
 // per workload plus a totals block — diff it across commits.
@@ -80,13 +82,18 @@ double timed_solve(sat::Solver& s) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// --- workload bodies (shapes shared with bench_micro_sat) -------------------
+// --- workload bodies -------------------------------------------------------
 
 double bmc_unroll(sat::Solver& s, unsigned) {
   aig::Aig g = bench::queue(16, true);
   cnf::Unroller unr(g, s);
   bench::build_bmc_queue(s, unr, 24);
   return timed_solve(s);
+}
+
+double bmc_unroll_proof(sat::Solver& s, unsigned rep) {
+  s.enable_proof();
+  return bmc_unroll(s, rep);
 }
 
 double bmc_deep(sat::Solver& s, unsigned) {
@@ -166,6 +173,8 @@ int main(int argc, char** argv) {
     results.push_back(run_workload("bmc_unroll", 8 * scale, bmc_unroll));
     results.push_back(
         run_workload("bmc_unroll_noinpr", 8 * scale, bmc_unroll, false));
+    results.push_back(
+        run_workload("bmc_unroll_proof", 8 * scale, bmc_unroll_proof));
     results.push_back(run_workload("bmc_deep", 2 * scale, bmc_deep));
     results.push_back(run_workload("pigeonhole8", 2 * scale, pigeonhole));
     results.push_back(

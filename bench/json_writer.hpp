@@ -1,8 +1,8 @@
-// json_writer.hpp — minimal JSON emitter for the bench trajectory files
-// (BENCH_sat.json, BENCH_pdr.json).  The drivers append flat objects and
-// arrays; no quoting beyond strings, no dependencies, deterministic field
-// order.  Machine consumers (trend dashboards, CI deltas) diff these files
-// across commits, so keys are stable and values are plain numbers.
+// json_writer.hpp — minimal JSON emitter for bench_sat's trajectory file
+// (BENCH_sat.json).  The driver appends flat objects and arrays; no quoting
+// beyond strings, no dependencies, deterministic field order.  Machine
+// consumers (trend dashboards, CI deltas) diff the file across commits, so
+// keys are stable and values are plain numbers.
 #pragma once
 
 #include <cstdio>

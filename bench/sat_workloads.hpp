@@ -1,7 +1,5 @@
-// sat_workloads.hpp — shared SAT workload builders for the solver bench
-// drivers (bench_sat, bench_micro_sat).  One definition per workload shape
-// so the gbench microbenches and the JSON trajectory driver measure the
-// exact same formulas; tune a workload here and both report it.
+// sat_workloads.hpp — SAT workload builders of the solver bench driver
+// (bench_sat): one definition per workload shape.
 #pragma once
 
 #include <random>

@@ -1,33 +1,38 @@
 #!/usr/bin/env bash
-# run_bench.sh — build and run the SAT-core bench suite and maintain the
-# machine-readable perf-trajectory files at the repo root:
+# run_bench.sh — build and run the SAT-core bench driver (bench_sat) and
+# append its result to the machine-readable perf trajectory at the repo
+# root:
 #
 #   BENCH_sat.json  one entry per solver workload + totals: propagations/s,
 #                   conflicts/s, binary-propagation share, peak clause-store
 #                   bytes, GC activity, learned-clause tiers, inprocessing
 #                   counters, wall-clock.  Selected workloads appear twice —
 #                   plain and `*_noinpr` (solver inprocessing off) — as the
-#                   in-tree ablation for the simplification pipeline.
-#   BENCH_pdr.json  PDR engine over the circuit suite: per-instance verdict,
-#                   queries, frames and the solver-side counters
+#                   in-tree ablation for the simplification pipeline, and
+#                   `bmc_unroll_proof` is bmc_unroll with proof logging on.
 #
-# Each file is a *trajectory*: {"trajectory": [entry, entry, ...]}, one
+# The file is a *trajectory*: {"trajectory": [entry, entry, ...]}, one
 # entry appended per run, stamped with the git commit, date and host that
-# produced it — so the files diff as a history, not a single point.  Legacy
-# single-object files are migrated into a one-entry trajectory on the next
+# produced it — so it diffs as a history, not a single point.  A legacy
+# single-object file is migrated into a one-entry trajectory on the next
 # run.  The ctest label `perf-smoke` runs a seconds-scale slice of the same
-# drivers as a sanity check (ctest -L perf-smoke).
+# driver as a sanity check (ctest -L perf-smoke).
 #
-# Usage: scripts/run_bench.sh [build_dir] [sat_scale] [pdr_seconds]
+# Engine-level measurements live elsewhere: `bench_paper <preset>` prints
+# the paper's tables and ablations with every cell checked (preset pdr
+# replaced bench_pdr and its BENCH_pdr.json; preset engines replaced
+# bench_portfolio and examples/engine_shootout), and paperbench/ is the
+# repository benchmark (python3 paperbench/run.py).
+#
+# Usage: scripts/run_bench.sh [build_dir] [sat_scale]
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build}"
 scale="${2:-1}"
-pdr_sec="${3:-5}"
 
 cmake -B "$build" -S "$root" > /dev/null
-cmake --build "$build" -j "$(nproc)" --target bench_sat bench_pdr > /dev/null
+cmake --build "$build" -j "$(nproc)" --target bench_sat > /dev/null
 
 commit="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
@@ -80,7 +85,4 @@ EOF
 "$build/bench_sat" "$scale" "$root/BENCH_sat.fresh.json"
 append_entry "$root/BENCH_sat.json" "$root/BENCH_sat.fresh.json"
 echo
-"$build/bench_pdr" "$pdr_sec" "" "$root/BENCH_pdr.fresh.json"
-append_entry "$root/BENCH_pdr.json" "$root/BENCH_pdr.fresh.json"
-echo
-echo "trajectory: $root/BENCH_sat.json, $root/BENCH_pdr.json (commit $commit)"
+echo "trajectory: $root/BENCH_sat.json (commit $commit)"

@@ -141,7 +141,8 @@ bool Engine::preliminary_checks(EngineResult& out) {
   // Depth-0 check: S0 AND bad(V^0).
   BmcInstance b = build_bmc(aig::kNullLit, 0, cnf::TargetScheme::kExact,
                             /*proof=*/false);
-  switch (b.solver->solve(sat_budget())) {
+  solve_bmc(b, out);
+  switch (b.status) {
     case sat::Status::kSat:
       out.k_fp = 0;
       report_fail(out, *b.solver, *b.unroller, 0, cnf::TargetScheme::kExact);

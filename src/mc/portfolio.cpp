@@ -74,15 +74,6 @@ std::uint64_t next_word(std::uint64_t& state) {
   return state;
 }
 
-/// Base rounds of the random-simulation sweep, shared by both schedulers
-/// so the explored trace enumeration never depends on wall-clock or thread
-/// interleaving.  Sequential rounds *extend* the sweep (kSimSweepRounds <<
-/// round); since a longer sweep explores the identical prefix first, the
-/// first counterexample found is still a pure function of the seed —
-/// budget/cancellation can truncate (degrading FAIL to UNKNOWN) but never
-/// change which witness is reported.
-constexpr unsigned kSimSweepRounds = 4096;
-
 /// Run one member to completion under `eo` (budget, cancellation token and
 /// exchange hub are all inside).  `sim_rounds` sizes the random-simulation
 /// sweep and must be derived deterministically by the caller.

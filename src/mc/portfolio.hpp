@@ -167,6 +167,15 @@ void degrade_for_retry(EngineOptions& eo, ErrorKind kind);
 EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
                              const PortfolioOptions& opts = {});
 
+/// Base rounds of the random-simulation member's sweep, shared by both
+/// schedulers so the explored trace enumeration never depends on
+/// wall-clock or thread interleaving.  Sequential rounds *extend* the sweep
+/// (kSimSweepRounds << round); since a longer sweep explores the identical
+/// prefix first, the first counterexample found is still a pure function
+/// of the seed — budget/cancellation can truncate (degrading FAIL to
+/// UNKNOWN) but never change which witness is reported.
+inline constexpr unsigned kSimSweepRounds = 4096;
+
 /// Pure random-simulation falsifier: simulates `rounds` batches of 64
 /// random input sequences of length `depth`; FAIL with a replayable trace
 /// or UNKNOWN (never PASS).  The enumeration order depends only on `seed`,

@@ -33,12 +33,15 @@ std::string temp_path(const std::string& name) {
   return std::string(dir ? dir : "/tmp") + "/itpseq_cli_" + name;
 }
 
-/// Run a command, returning its exit status (-1 on spawn failure).
+/// Run a command, returning its exit status (-1 on spawn failure or when
+/// the command dies by a signal).  The shell execs the command, so pclose
+/// sees the signal instead of the shell's 128 + signal number.
 /// `merge_stderr` folds stderr into the captured output — for tests that
 /// assert on diagnostics, which the tools print to stderr.
 int run(const std::string& cmd, std::string* output = nullptr,
         bool merge_stderr = false) {
-  std::string full = cmd + (merge_stderr ? " 2>&1" : " 2>/dev/null");
+  std::string full =
+      "exec " + cmd + (merge_stderr ? " 2>&1" : " 2>/dev/null");
   FILE* p = popen(full.c_str(), "r");
   if (!p) return -1;
   std::string text;
@@ -98,6 +101,11 @@ TEST_F(CliTest, McBmcIncrementalModesAgree) {
   }
 }
 
+TEST(CliRun, SignalDeathIsMinusOne) {
+  EXPECT_EQ(run("sh -c 'kill -ABRT $$'"), -1);
+  EXPECT_EQ(run("sh -c 'exit 3'"), 3);
+}
+
 TEST_F(CliTest, McChecksTheRequestedOutput) {
   // Output 0 fails at depth 1; output 1 is a latch stuck at its reset value
   // 0 and holds.  Checking output 1 must never report FAIL: not through a
@@ -112,7 +120,6 @@ TEST_F(CliTest, McChecksTheRequestedOutput) {
     int rc = run(tool("itpseq-mc") + " -t 30 -k 20 -e bmc --incremental=off -p 1 " +
                      flags + " " + path,
                  &out);
-    // A signal shows as -1 or as the shell's 128 + signal number.
     EXPECT_TRUE(rc >= 0 && rc <= 4) << flags << ": exit status " << rc;
     EXPECT_EQ(out.find("s FAIL"), std::string::npos) << flags;
   }
@@ -286,8 +293,8 @@ TEST_F(CliTest, McPortfolioSurvivesAMemberFault) {
 
 TEST_F(CliTest, McFaultPlanFromEnvironment) {
   std::string out;
-  int rc = run("ITPSEQ_FAULTS=itp.extract:1:1000000 " + tool("itpseq-mc") +
-                   " -q -t 30 -e itp " + pass_aag_,
+  int rc = run("env ITPSEQ_FAULTS=itp.extract:1:1000000 " +
+                   tool("itpseq-mc") + " -q -t 30 -e itp " + pass_aag_,
                &out);
   EXPECT_EQ(rc, 4);
   EXPECT_NE(out.find("s ERROR"), std::string::npos) << out;

@@ -8,10 +8,17 @@
 
 #include <functional>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
+#include "cnf/unroller.hpp"
 #include "mc/engine.hpp"
+#include "mc/itpseq_verif.hpp"
 #include "mc/sim.hpp"
+#include "sat/solver.hpp"
 
 namespace itpseq::mc {
 namespace {
@@ -92,16 +99,18 @@ INSTANTIATE_TEST_SUITE_P(
 // --- targeted engine behaviours ---------------------------------------------
 
 TEST(Engines, Depth0Failure) {
-  // Latch initialized to 1 with bad = latch: fails at depth 0.
+  // Latch initialized to 1 with bad = latch: fails at depth 0, decided by
+  // the depth-0 check, whose SAT call is the run's only one.
   aig::Aig g;
   aig::Lit l = g.add_latch(aig::LatchInit::kOne);
   g.set_latch_next(l, l);
   g.add_output(l);
-  for (auto check : {check_itp, check_itpseq}) {
+  for (auto check : {check_itp, check_itpseq, check_bmc, check_pdr}) {
     EngineResult r = check(g, 0, quick_opts());
-    EXPECT_EQ(r.verdict, Verdict::kFail);
-    EXPECT_EQ(r.k_fp, 0u);
-    EXPECT_TRUE(trace_is_cex(g, r.cex, 0));
+    EXPECT_EQ(r.verdict, Verdict::kFail) << r.engine;
+    EXPECT_EQ(r.k_fp, 0u) << r.engine;
+    EXPECT_TRUE(trace_is_cex(g, r.cex, 0)) << r.engine;
+    EXPECT_EQ(r.stats.sat_calls, 1u) << r.engine;
   }
 }
 
@@ -245,6 +254,69 @@ TEST(Engines, StatsPopulated) {
   ASSERT_EQ(r.verdict, Verdict::kPass);
   EXPECT_GT(r.stats.sat_calls, 0u);
   EXPECT_GT(r.stats.proof_clauses, 0u);
+}
+
+// --- the BMC instance against its hand-written copy -------------------------
+
+using Clauses = std::vector<std::pair<std::vector<sat::Lit>, std::uint32_t>>;
+
+/// Original clauses of a proof, with their labels, in the order added.
+Clauses original_clauses(const sat::Proof& proof) {
+  Clauses out;
+  for (sat::ClauseId id = 0; id < proof.size(); ++id)
+    if (proof.is_original(id))
+      out.emplace_back(proof.literals(id), proof.label(id));
+  return out;
+}
+
+/// Opens Engine::build_bmc to the test.
+class BmcProbe : public ItpSeqEngine {
+ public:
+  explicit BmcProbe(const aig::Aig& model) : ItpSeqEngine(model, 0, {}) {}
+  Clauses assume_k(unsigned k) {
+    BmcInstance b = build_bmc(aig::kNullLit, k,
+                              cnf::TargetScheme::kExactAssume, /*proof=*/true);
+    return original_clauses(b.solver->proof());
+  }
+};
+
+/// The ITPSEQ assume-k instance from S0 as paperbench/src/replay.cpp writes
+/// it with public Unroller calls (its Replay::bmc).
+Clauses replay_assume_k(const aig::Aig& model, unsigned k) {
+  sat::Solver s;
+  EngineOptions{}.apply_sat_options(s);
+  s.enable_proof();
+  cnf::Unroller unr(model, s);
+  unr.assert_init(1);
+  for (unsigned t = 0; t < k; ++t) unr.add_transition(t, t + 1);
+  for (unsigned t = 0; t <= k; ++t)
+    unr.assert_constraints(t, std::min(t + 1, k + 1));
+  for (unsigned t = 1; t < k; ++t)
+    s.add_clause({sat::neg(unr.bad_lit(t, t + 1, 0))}, t + 1);
+  s.add_clause({unr.bad_lit(k, k + 1, 0)}, k + 1);
+  return original_clauses(s.proof());
+}
+
+TEST(BuildBmc, MatchesTheBenchmarkReplay) {
+  // The benchmark's traced replay rebuilds ITPSEQ's BMC instance by hand;
+  // a change to build_bmc's clause order or labels must show up here.  No
+  // suite instance has constraints, so the queue gets one (never pop).
+  std::vector<aig::Aig> models;
+  for (const Instance& inst : bench::make_academic_suite())
+    if (inst.name == "cnten4fail" || inst.name == "arb4bug" ||
+        inst.name == "queue8ovf")
+      models.push_back(inst.model);
+  ASSERT_EQ(models.size(), 3u);
+  models.back().add_constraint(aig::lit_not(models.back().input(1)));
+  ASSERT_EQ(models.back().num_constraints(), 1u);
+  for (const aig::Aig& g : models) {
+    BmcProbe probe(g);
+    for (unsigned k = 1; k <= 4; ++k) {
+      Clauses engine = probe.assume_k(k);
+      ASSERT_FALSE(engine.empty());
+      EXPECT_EQ(engine, replay_assume_k(g, k)) << "k=" << k;
+    }
+  }
 }
 
 // --- simulator --------------------------------------------------------------
