@@ -88,7 +88,7 @@ mc::EngineResult portfolio(const bench::Instance& inst,
 mc::EngineResult random_sim(const bench::Instance& inst,
                             const mc::EngineOptions& o) {
   return mc::check_random_sim(inst.model, 0, /*depth=*/64,
-                              mc::kSimSweepRounds,
+                              mc::kSimSweepMaxRounds,
                               mc::PortfolioOptions{}.sim_seed, o.cancel,
                               o.time_limit_sec);
 }

@@ -485,7 +485,8 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
                                        {"attempt", attempt},
                                        {"budget_sec", budget}});
           }
-          r = run_member(model, prop, m, eo, opts.sim_seed, kSimSweepRounds);
+          r = run_member(model, prop, m, eo, opts.sim_seed,
+                         kSimSweepMaxRounds);
           if (opts.active_probe != nullptr) opts.active_probe->fetch_sub(1);
           if (obs::enabled()) {
             obs::emit("worker_done", {{"member", to_string(m)},

@@ -170,11 +170,16 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
 /// Base rounds of the random-simulation member's sweep, shared by both
 /// schedulers so the explored trace enumeration never depends on
 /// wall-clock or thread interleaving.  Sequential rounds *extend* the sweep
-/// (kSimSweepRounds << round); since a longer sweep explores the identical
-/// prefix first, the first counterexample found is still a pure function
-/// of the seed — budget/cancellation can truncate (degrading FAIL to
-/// UNKNOWN) but never change which witness is reported.
+/// (kSimSweepRounds << round, up to kSimSweepMaxRounds); since a longer
+/// sweep explores the identical prefix first, the first counterexample
+/// found is still a pure function of the seed — budget/cancellation can
+/// truncate (degrading FAIL to UNKNOWN) but never change which witness is
+/// reported.
 inline constexpr unsigned kSimSweepRounds = 4096;
+/// The longest sweep: the sequential scheduler's from round 10 on, and the
+/// threaded member's only one — it holds its whole budget in one run, so
+/// the sweep extends until the budget (or a peer's verdict) stops it.
+inline constexpr unsigned kSimSweepMaxRounds = kSimSweepRounds << 10;
 
 /// Pure random-simulation falsifier: simulates `rounds` batches of 64
 /// random input sequences of length `depth`; FAIL with a replayable trace

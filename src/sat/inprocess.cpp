@@ -1,7 +1,11 @@
 // inprocess.cpp — in-solver simplification between searches.
 //
-// A round (Solver::inprocess) runs at solve entry and at level-0 restarts,
-// amortized by inprocess_interval_ conflicts.  Phases, in order:
+// A round (Solver::inprocess) runs at level 0 — on entry to solve or at a
+// restart — once the search work since the last round pays for it: every
+// inprocess_interval_ conflicts, and the first round as soon as the
+// propagations since construction reach kFirstRoundProps per variable (see
+// maybe_inprocess).  A solver that has not searched yet gets no round.
+// Phases, in order:
 //
 //   1. level-0 propagation to fixpoint + satisfied-clause removal;
 //   2. subsumption + self-subsuming resolution over a transient occurrence
@@ -51,6 +55,7 @@ constexpr std::size_t kBveMaxOcc = 20;  // skip vars occurring more often
 constexpr std::uint64_t kSubsumeTicks = 4'000'000;  // occ scans per round
 constexpr std::size_t kVivifyMaxRound = 256;        // clauses per round
 constexpr std::size_t kProbeMaxRound = 384;         // probes per round
+constexpr std::uint64_t kFirstRoundProps = 8;       // per var, before round 1
 constexpr std::size_t kHbrPerProbe = 16;            // binaries per probe
 
 /// Resolve two sorted clauses on v; false iff the resolvent is tautological.
@@ -314,9 +319,18 @@ bool Solver::maybe_inprocess() {
   if (!ok_) return false;
   if (!inprocess_on_ || arena_.empty()) return true;
   assert(trail_lim_.empty());
-  if (inprocessed_once_ &&
-      stats_.conflicts - last_inprocess_conflicts_ < inprocess_interval_)
-    return true;
+  // Rounds are scheduled by search work, not by solve entry.  One is due
+  // every inprocess_interval_ conflicts; the first is due earlier, once the
+  // propagations since construction reach kFirstRoundProps per variable.  A
+  // long-lived incremental solver (PDR) gets there within its first
+  // queries; a one-shot BMC or certificate solver that decides its query
+  // with little search never does, so it never pays for a round it cannot
+  // amortise.
+  const bool due =
+      stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval_ ||
+      (!inprocessed_once_ &&
+       stats_.propagations >= kFirstRoundProps * num_vars());
+  if (!due) return true;
   {
     // Under memory pressure an inprocessing round is the wrong move: the
     // occurrence index is the solver's largest transient allocation.  Skip

@@ -67,9 +67,13 @@
 // --- Inprocessing ----------------------------------------------------------
 //
 // When enabled (the default), the solver simplifies its own clause database
-// *between* searches: a round runs at solve entry and at level-0 restarts,
-// amortized so at most one round per inprocess-interval conflicts
-// (set_inprocess_interval; the first solve always gets one).  A round is,
+// *between* searches: a round runs at level 0 (solve entry or a restart)
+// once the search work since the last one pays for it — every
+// inprocess-interval conflicts (set_inprocess_interval), and the first round
+// as soon as the propagations since construction reach a small multiple of
+// num_vars().  A solver that has not searched yet gets no round, so an
+// easy one-shot query never pays for one; a long-lived incremental solver
+// gets its first round within a few queries.  A round is,
 // in order: level-0 propagation to fixpoint, satisfied-clause removal,
 // signature-accelerated subsumption + self-subsuming resolution, bounded
 // variable elimination (BVE) with model reconstruction, clause vivification,
@@ -279,8 +283,10 @@ class Solver {
   /// what a round does and the proof-safety/freeze contracts.
   void set_inprocess(bool on) { inprocess_on_ = on; }
   bool inprocess_enabled() const { return inprocess_on_; }
-  /// Minimum conflicts between inprocessing rounds (default 4000).  Testing
-  /// knob: 0 forces a round at every solve entry and level-0 restart.
+  /// Conflicts between inprocessing rounds (default 4000); the first round
+  /// may come earlier, by propagation work (see the header comment).
+  /// Testing knob: 0 forces a round at every solve entry and level-0
+  /// restart, including the first solve of a fresh solver.
   void set_inprocess_interval(std::uint64_t conflicts) {
     inprocess_interval_ = conflicts;
   }

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <thread>
 
+#include "bench_circuits/generators.hpp"
+#include "mc/engine.hpp"
 #include "sat/drat.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
@@ -50,16 +52,35 @@ bool model_satisfies(const std::vector<LBool>& model,
   return true;
 }
 
-/// Crosscheck harness: solve `cls` with inprocessing forced on every entry
-/// and with it disabled; verdicts must agree, SAT models (extended over
-/// eliminated vars) must satisfy the ORIGINAL clauses, and UNSAT proofs
-/// must replay, DRAT-check and export to tracecheck.
+/// An UNSAT proof must replay, DRAT-check against the original clauses and
+/// export to tracecheck.
+void expect_valid_refutation(const Solver& s,
+                             const std::vector<std::vector<Lit>>& cls,
+                             unsigned nvars) {
+  auto pc = check_proof(s.proof());
+  EXPECT_TRUE(pc.ok) << pc.error;
+  // Independent RUP check of the exported DRAT against the originals.
+  std::ostringstream drat;
+  write_drat(s.proof(), drat);
+  std::istringstream in(drat.str());
+  auto dc = check_drat(nvars, cls, in);
+  EXPECT_TRUE(dc.ok) << dc.error;
+  std::ostringstream tc;
+  write_tracecheck(s.proof(), tc);
+  EXPECT_FALSE(tc.str().empty());
+}
+
+/// Crosscheck harness: solve `cls` with inprocessing on and with it
+/// disabled; verdicts must agree, SAT models (extended over eliminated
+/// vars) must satisfy the ORIGINAL clauses, and UNSAT proofs must replay,
+/// DRAT-check and export to tracecheck.  `interval` 0 forces a round at
+/// every entry and restart; the default schedule passes 4000.
 void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
-                RestartMode mode) {
+                RestartMode mode, std::uint64_t interval = 0) {
   Solver on, off;
   on.set_restart_mode(mode);
   off.set_restart_mode(mode);
-  on.set_inprocess_interval(0);  // a round at every entry and restart
+  on.set_inprocess_interval(interval);
   off.set_inprocess(false);
   on.enable_proof();
   off.enable_proof();
@@ -79,17 +100,7 @@ void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
         << "extended model violates an original clause";
     EXPECT_TRUE(on.verify_model());
   } else {
-    auto pc = check_proof(on.proof());
-    EXPECT_TRUE(pc.ok) << pc.error;
-    // Independent RUP check of the exported DRAT against the originals.
-    std::ostringstream drat;
-    write_drat(on.proof(), drat);
-    std::istringstream in(drat.str());
-    auto dc = check_drat(nvars, cls, in);
-    EXPECT_TRUE(dc.ok) << dc.error;
-    std::ostringstream tc;
-    write_tracecheck(on.proof(), tc);
-    EXPECT_FALSE(tc.str().empty());
+    expect_valid_refutation(on, cls, nvars);
   }
 }
 
@@ -395,6 +406,131 @@ TEST(Inprocess, CancellationDuringInprocessingSolveIsClean) {
   killer.join();
   EXPECT_NE(st, Status::kSat);
   EXPECT_EQ(s.solve(), Status::kUnsat);  // state intact after cancellation
+}
+
+// --- schedule: rounds follow search work, not solve entry -------------------
+
+/// PHP(n+1, n): n+1 pigeons, n holes; var i*n + h puts pigeon i in hole h.
+std::vector<std::vector<Lit>> pigeonhole_cnf(unsigned n) {
+  std::vector<std::vector<Lit>> cls;
+  for (unsigned i = 0; i <= n; ++i) {
+    std::vector<Lit> cl;
+    for (unsigned h = 0; h < n; ++h) cl.push_back(pos(i * n + h));
+    cls.push_back(cl);
+  }
+  for (unsigned h = 0; h < n; ++h)
+    for (unsigned i = 0; i <= n; ++i)
+      for (unsigned j = i + 1; j <= n; ++j)
+        cls.push_back({negl(i * n + h), negl(j * n + h)});
+  return cls;
+}
+
+TEST(InprocessSchedule, OneShotEasyQueryGetsNoRound) {
+  // A fresh solver at default settings that decides an easy query does too
+  // little search to earn a round — the shape of every one-shot BMC and
+  // certificate solver.  Both an implication chain and an under-constrained
+  // random formula stay below the first-round threshold.
+  {
+    const unsigned n = 200;
+    Solver s;
+    s.enable_proof();
+    for (unsigned i = 0; i < n; ++i) s.new_var();
+    for (unsigned i = 0; i + 1 < n; ++i) s.add_clause({negl(i), pos(i + 1)});
+    ASSERT_EQ(s.solve(), Status::kSat);
+    EXPECT_EQ(s.stats().inprocess_rounds, 0u);
+    EXPECT_EQ(s.stats().vars_eliminated, 0u);
+  }
+  {
+    std::mt19937 rng(11);
+    const unsigned nvars = 100;
+    auto cls = random_cnf(rng, nvars, 1.5);
+    Solver s;
+    s.enable_proof();
+    for (unsigned i = 0; i < nvars; ++i) s.new_var();
+    for (const auto& c : cls) s.add_clause(c);
+    ASSERT_NE(s.solve(), Status::kUnknown);
+    EXPECT_EQ(s.stats().inprocess_rounds, 0u);
+  }
+}
+
+TEST(InprocessSchedule, IncrementalSolverEarnsRoundsAndEliminates) {
+  // An equivalence chain a0 <-> a1 <-> ... <-> an, queried at its two ends
+  // through many solve_assuming calls.  Every query propagates the whole
+  // chain, so the propagation work passes the first-round threshold within
+  // a few queries, and BVE then eliminates the unfrozen middle of the
+  // chain.  Every answer must stay right across the round.
+  const unsigned n = 64;
+  Solver s;
+  for (unsigned i = 0; i <= n; ++i) s.new_var();
+  for (unsigned i = 0; i < n; ++i) {
+    s.add_clause({negl(i), pos(i + 1)});
+    s.add_clause({pos(i), negl(i + 1)});
+  }
+  for (unsigned q = 0; q < 40; ++q) {
+    const bool head = q % 2 == 0, tail = (q / 2) % 2 == 0;
+    Status st = s.solve_assuming({mk_lit(0, !head), mk_lit(n, !tail)});
+    ASSERT_EQ(st, head == tail ? Status::kSat : Status::kUnsat)
+        << "query " << q;
+    if (st == Status::kSat) {
+      EXPECT_EQ(s.model_value(n / 2), head);
+    }
+    if (q == 0) {
+      EXPECT_EQ(s.stats().inprocess_rounds, 0u)
+          << "a solver that has not searched yet got a round";
+    }
+  }
+  EXPECT_GE(s.stats().inprocess_rounds, 1u);
+  EXPECT_GT(s.stats().vars_eliminated, 0u);
+}
+
+TEST(InprocessSchedule, FirstRoundMidSearchKeepsProofsValid) {
+  // Default schedule, one solve: no round on entry (nothing searched yet);
+  // the first round fires at a restart, once the propagation work passes
+  // the threshold.  The refutation then mixes lemmas learned before the
+  // round with its rewrites and the lemmas after it, and must still
+  // replay, DRAT-check and export to tracecheck.
+  for (unsigned n : {6u, 7u}) {
+    const unsigned nvars = (n + 1) * n;
+    auto cls = pigeonhole_cnf(n);
+    Solver s;
+    s.enable_proof();
+    for (unsigned i = 0; i < nvars; ++i) s.new_var();
+    for (const auto& c : cls) s.add_clause(c);
+    ASSERT_EQ(s.solve(), Status::kUnsat);
+    EXPECT_GE(s.stats().restarts, 1u);
+    EXPECT_GE(s.stats().inprocess_rounds, 1u) << "PHP(" << n + 1 << ", " << n
+                                              << ") never reached a round";
+    expect_valid_refutation(s, cls, nvars);
+  }
+  // Random 3-SAT at the threshold ratio, crosschecked against an
+  // inprocess-off solver under the default schedule; at this size most of
+  // them reach their first round at a restart.
+  for (int seed = 0; seed < 16; ++seed) {
+    std::mt19937 rng(9100 + seed);
+    const unsigned nvars = 110 + rng() % 20;
+    std::vector<std::vector<Lit>> cls;
+    for (unsigned c = 0; c < nvars * 43 / 10; ++c)
+      cls.push_back({mk_lit(rng() % nvars, rng() % 2),
+                     mk_lit(rng() % nvars, rng() % 2),
+                     mk_lit(rng() % nvars, rng() % 2)});
+    crosscheck(cls, nvars, seed % 2 ? RestartMode::kEma : RestartMode::kLuby,
+               /*interval=*/4000);
+  }
+}
+
+TEST(InprocessSchedule, SequenceEngineSkipsRoundsOnOneShotSolvers) {
+  // ITPSEQ builds one fresh proof-logging solver per bound; each decides
+  // its BMC query with little search, so almost none of them earns a
+  // round.
+  aig::Aig g = bench::industrial(32, 8, /*variant=*/0, 10, 201);  // B1
+  mc::EngineOptions o;
+  o.time_limit_sec = 30.0;
+  mc::EngineResult r = mc::check_itpseq(g, 0, o);
+  ASSERT_EQ(r.verdict, mc::Verdict::kPass);
+  EXPECT_GE(r.stats.sat_calls, 4u);
+  EXPECT_LE(r.stats.sat_inprocess_rounds * 4, r.stats.sat_calls)
+      << r.stats.sat_inprocess_rounds << " rounds over "
+      << r.stats.sat_calls << " solvers";
 }
 
 }  // namespace

@@ -225,6 +225,30 @@ TEST(Portfolio, RandomSimDeterministicUnderFixedSeed) {
   EXPECT_TRUE(traces_equal(a.cex, c.cex));
 }
 
+TEST(Portfolio, ThreadedRandomSimSweepsUntilBudget) {
+  // Regression: the threaded scheduler ran the random-simulation member for
+  // one base sweep and returned UNKNOWN in about 0.1 s, whatever its budget.
+  // sticky14 needs a longer sweep.  The member must extend the sweep until
+  // the budget stops it, and since the prefix is the same, report the
+  // witness of the longest sweep under the same seed.  (A release build
+  // finds it in a fraction of a second; the budget leaves room for
+  // sanitizer builds.)
+  aig::Aig g = bench::sticky_detector(14, /*resettable=*/false);
+  PortfolioOptions po = quick(30.0);
+  po.members = {PortfolioMember::kRandomSim, PortfolioMember::kRandomSim};
+  po.jobs = 2;
+  EngineResult r = check_portfolio(g, 0, po);
+  ASSERT_EQ(r.verdict, Verdict::kFail) << "threaded sweep stopped early";
+  EXPECT_EQ(r.engine, "portfolio/RANDOM-SIM");
+  EXPECT_GE(r.cex.depth(), 14u);
+  EXPECT_TRUE(trace_is_cex(g, r.cex, 0));
+  EngineResult ref = check_random_sim(g, 0, /*depth=*/64, kSimSweepMaxRounds,
+                                      po.sim_seed);
+  ASSERT_EQ(ref.verdict, Verdict::kFail);
+  EXPECT_TRUE(traces_equal(ref.cex, r.cex))
+      << "the witness depends on the scheduler";
+}
+
 // --- self-healing: retry, backoff, degradation -----------------------------
 
 TEST(Portfolio, BackoffDelayIsDeterministicAndBounded) {
